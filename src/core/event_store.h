@@ -98,7 +98,7 @@ class EventStore {
   std::vector<CountryCount> country_ranking(SourceFilter filter,
                                             const meta::GeoDatabase& geo) const;
 
-  /// Normalized intensity of an event: log-scaled min-max within its source
+  /// Normalized intensity of an event: linear min-max within its source
   /// dataset, in [0, 1] (requires finalize()). The paper normalizes per
   /// dataset because telescope pps and honeypot rps are incomparable.
   double normalized_intensity(const AttackEvent& event) const;

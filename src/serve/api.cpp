@@ -12,22 +12,10 @@ namespace {
 
 constexpr std::string_view kJson = "application/json";
 
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  const auto [ptr, ec] =
-      std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc{} && ptr == s.data() + s.size();
-}
-
 bool parse_f64(const std::string& s, double& out) {
   const auto [ptr, ec] =
       std::from_chars(s.data(), s.data() + s.size(), out);
   return ec == std::errc{} && ptr == s.data() + s.size();
-}
-
-ApiCall bad_request(std::string error) {
-  ApiCall call;
-  call.error = std::move(error);
-  return call;
 }
 
 /// Canonical, injective rendering of the resolved call — the cache-key
@@ -62,60 +50,6 @@ std::string canonicalize(const ApiCall& call) {
   out += ";min=";
   out += q.min_intensity ? json_double(*q.min_intensity) : "-";
   return out;
-}
-
-/// Applies one query parameter to the call. Returns an error message, or
-/// empty on success. Day/second time params are collected by the caller.
-std::string apply_param(const std::string& key, const std::string& value,
-                        ApiCall& call) {
-  query::Query& q = call.query;
-  try {
-    if (key == "source") {
-      if (value == "telescope")
-        q.from_source(core::SourceFilter::kTelescope);
-      else if (value == "honeypot")
-        q.from_source(core::SourceFilter::kHoneypot);
-      else if (value == "combined")
-        q.from_source(core::SourceFilter::kCombined);
-      else
-        return "source must be telescope|honeypot|combined";
-    } else if (key == "prefix") {
-      q.in_prefix(net::Prefix::parse(value));
-    } else if (key == "asn") {
-      std::uint64_t asn = 0;
-      if (!parse_u64(value, asn) || asn > 0xffffffffull)
-        return "malformed asn";
-      q.in_asn(static_cast<meta::Asn>(asn));
-    } else if (key == "country") {
-      q.in_country(meta::CountryCode(value));
-    } else if (key == "port") {
-      std::uint64_t port = 0;
-      if (!parse_u64(value, port) || port > 0xffff) return "malformed port";
-      q.on_port(static_cast<std::uint16_t>(port));
-    } else if (key == "min_intensity") {
-      double intensity = 0.0;
-      if (!parse_f64(value, intensity)) return "malformed min_intensity";
-      q.at_least(intensity);
-    } else if (key == "agg") {
-      if (value != "summary" && value != "daily" && value != "top-targets" &&
-          value != "top-asns" && value != "top-countries" && value != "events")
-        return "unknown agg: " + value;
-      call.agg = value;
-    } else if (key == "k") {
-      std::uint64_t k = 0;
-      if (!parse_u64(value, k) || k == 0 || k > kMaxK)
-        return "k must be in [1, " + std::to_string(kMaxK) + "]";
-      call.k = static_cast<std::size_t>(k);
-    } else if (key == "explain") {
-      if (value != "0" && value != "1") return "explain must be 0 or 1";
-      call.explain = value == "1";
-    } else {
-      return "unknown parameter: " + key;
-    }
-  } catch (const std::invalid_argument& e) {
-    return std::string("malformed ") + key + ": " + e.what();
-  }
-  return {};
 }
 
 }  // namespace
@@ -157,21 +91,36 @@ ApiResponse execute_health(const query::Snapshot* snapshot) {
   return ApiResponse{200, std::string(kJson), std::move(w).take()};
 }
 
-ApiCall parse_query_request(const HttpRequest& request,
-                            const StudyWindow& window) {
-  ApiCall call;
+bool parse_u64(const std::string& s, std::uint64_t& out) {
+  const auto [ptr, ec] =
+      std::from_chars(s.data(), s.data() + s.size(), out);
+  return ec == std::errc{} && ptr == s.data() + s.size();
+}
 
-  // POST bodies carry form-encoded parameters appended after URL ones.
-  std::vector<std::pair<std::string, std::string>> params = request.params;
+ApiCall bad_request(std::string error) {
+  ApiCall call;
+  call.error = std::move(error);
+  return call;
+}
+
+std::string collect_params(const HttpRequest& request, Params& params) {
+  params = request.params;
   if (request.method == "POST" && !request.body.empty() &&
       !parse_query_string(request.body, params))
-    return bad_request("malformed form body");
-
+    return "malformed form body";
   // A key given twice (URL and body combined) is rejected rather than
   // last-wins: silently dropping the first value would let two different
   // request strings canonicalize to the same cache key.
-  std::vector<std::string_view> seen;
-  seen.reserve(params.size());
+  for (std::size_t i = 0; i < params.size(); ++i)
+    for (std::size_t j = 0; j < i; ++j)
+      if (params[j].first == params[i].first)
+        return "duplicate parameter: " + params[i].first;
+  return {};
+}
+
+ApiCall parse_query_params(const Params& params, const StudyWindow& window) {
+  ApiCall call;
+  query::Query& q = call.query;
 
   // Time parameters resolve to one half-open [begin, end) range. Days and
   // raw seconds are mutually exclusive.
@@ -180,25 +129,60 @@ ApiCall parse_query_request(const HttpRequest& request,
   std::optional<double> t0;
   std::optional<double> t1;
   for (const auto& [key, value] : params) {
-    for (const std::string_view prior : seen)
-      if (prior == key) return bad_request("duplicate parameter: " + key);
-    seen.push_back(key);
     try {
       if (key == "from") {
         from = parse_civil(value);
       } else if (key == "to") {
         to = parse_civil(value);
-      } else if (key == "t0") {
+      } else if (key == "t0" || key == "t1") {
         double t = 0.0;
-        if (!parse_f64(value, t)) return bad_request("malformed t0");
-        t0 = t;
-      } else if (key == "t1") {
-        double t = 0.0;
-        if (!parse_f64(value, t)) return bad_request("malformed t1");
-        t1 = t;
+        if (!parse_f64(value, t)) return bad_request("malformed " + key);
+        (key == "t0" ? t0 : t1) = t;
+      } else if (key == "source") {
+        if (value == "telescope")
+          q.from_source(core::SourceFilter::kTelescope);
+        else if (value == "honeypot")
+          q.from_source(core::SourceFilter::kHoneypot);
+        else if (value == "combined")
+          q.from_source(core::SourceFilter::kCombined);
+        else
+          return bad_request("source must be telescope|honeypot|combined");
+      } else if (key == "prefix") {
+        q.in_prefix(net::Prefix::parse(value));
+      } else if (key == "asn") {
+        std::uint64_t asn = 0;
+        if (!parse_u64(value, asn) || asn > 0xffffffffull)
+          return bad_request("malformed asn");
+        q.in_asn(static_cast<meta::Asn>(asn));
+      } else if (key == "country") {
+        q.in_country(meta::CountryCode(value));
+      } else if (key == "port") {
+        std::uint64_t port = 0;
+        if (!parse_u64(value, port) || port > 0xffff)
+          return bad_request("malformed port");
+        q.on_port(static_cast<std::uint16_t>(port));
+      } else if (key == "min_intensity") {
+        double intensity = 0.0;
+        if (!parse_f64(value, intensity))
+          return bad_request("malformed min_intensity");
+        q.at_least(intensity);
+      } else if (key == "agg") {
+        if (value != "summary" && value != "daily" && value != "top-targets" &&
+            value != "top-asns" && value != "top-countries" &&
+            value != "events")
+          return bad_request("unknown agg: " + value);
+        call.agg = value;
+      } else if (key == "k") {
+        std::uint64_t k = 0;
+        if (!parse_u64(value, k) || k == 0 || k > kMaxK)
+          return bad_request("k must be in [1, " + std::to_string(kMaxK) + "]");
+        call.k = static_cast<std::size_t>(k);
+      } else if (key == "explain") {
+        if (value != "0" && value != "1")
+          return bad_request("explain must be 0 or 1");
+        call.explain = value == "1";
       } else {
-        const std::string error = apply_param(key, value, call);
-        if (!error.empty()) return bad_request(error);
+        return bad_request("unknown parameter: " + key);
       }
     } catch (const std::invalid_argument& e) {
       return bad_request(std::string("malformed ") + key + ": " + e.what());
@@ -212,15 +196,23 @@ ApiCall parse_query_request(const HttpRequest& request,
     const double end =
         to ? static_cast<double>(unix_from_civil(*to) + kSecondsPerDay)
            : static_cast<double>(window.end_time());
-    call.query.between(begin, end);
+    q.between(begin, end);
   } else if (t0 || t1) {
     const double begin = t0 ? *t0 : static_cast<double>(window.start_time());
     const double end = t1 ? *t1 : static_cast<double>(window.end_time());
-    call.query.between(begin, end);
+    q.between(begin, end);
   }
 
   call.canonical = canonicalize(call);
   return call;
+}
+
+ApiCall parse_query_request(const HttpRequest& request,
+                            const StudyWindow& window) {
+  Params params;
+  if (std::string error = collect_params(request, params); !error.empty())
+    return bad_request(std::move(error));
+  return parse_query_params(params, window);
 }
 
 ApiResponse execute_query(const query::Snapshot& snapshot, const ApiCall& call,

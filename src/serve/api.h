@@ -37,6 +37,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "query/budget.h"
 #include "query/query.h"
@@ -90,9 +92,27 @@ struct ApiResponse {
 /// Maximum rows a top-k / events listing may request.
 inline constexpr std::size_t kMaxK = 100000;
 
-/// Parses a /query request (GET params, plus form body on POST). Time
-/// filters resolve against `window`, so the canonical form is fully
-/// resolved before caching. Never throws; errors land in ApiCall::error.
+/// Decoded request parameters, in request order.
+using Params = std::vector<std::pair<std::string, std::string>>;
+
+/// Collects a request's URL parameters plus, on POST, its form body, and
+/// rejects a key given twice. Returns the error message, or empty.
+std::string collect_params(const HttpRequest& request, Params& params);
+
+/// Full-match decimal parse of a parameter value.
+bool parse_u64(const std::string& s, std::uint64_t& out);
+
+/// A call that carries only an error (the router answers 400 with it).
+ApiCall bad_request(std::string error);
+
+/// Maps /query parameters onto a call — the one grammar behind both the
+/// HTTP route and the `dosmeter query` flags. Time filters resolve against
+/// `window`, so the canonical form is fully resolved before caching. A key
+/// given twice applies last-wins (collect_params rejects it for HTTP).
+/// Never throws; errors land in ApiCall::error.
+ApiCall parse_query_params(const Params& params, const StudyWindow& window);
+
+/// Parses a /query request: collect_params, then parse_query_params.
 ApiCall parse_query_request(const HttpRequest& request,
                             const StudyWindow& window);
 

@@ -1,6 +1,5 @@
 #include "serve/subscribe_api.h"
 
-#include <charconv>
 #include <optional>
 #include <string>
 #include <utility>
@@ -17,71 +16,16 @@ namespace {
 constexpr std::string_view kJson = "application/json";
 constexpr int kMaxWaitMs = 10000;
 
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc{} && ptr == s.data() + s.size();
-}
-
-ApiCall bad_request(std::string error) {
-  ApiCall call;
-  call.error = std::move(error);
-  return call;
-}
-
-/// Collects URL + POST-body parameters with the same duplicate-key reject
-/// the query endpoint applies. Returns an error message, or empty.
-std::string collect_params(
-    const HttpRequest& request,
-    std::vector<std::pair<std::string, std::string>>& params) {
-  params = request.params;
-  if (request.method == "POST" && !request.body.empty() &&
-      !parse_query_string(request.body, params))
-    return "malformed form body";
-  for (std::size_t i = 0; i < params.size(); ++i)
-    for (std::size_t j = 0; j < i; ++j)
-      if (params[j].first == params[i].first)
-        return "duplicate parameter: " + params[i].first;
-  return {};
-}
-
 ApiCall parse_subscribe(const HttpRequest& request, const RequestContext&) {
-  ApiCall call;
-  std::vector<std::pair<std::string, std::string>> params;
+  Params params;
   if (std::string error = collect_params(request, params); !error.empty())
     return bad_request(std::move(error));
-  for (const auto& [key, value] : params) {
-    try {
-      if (key == "prefix") {
-        call.predicate.match_prefix(net::Prefix::parse(value));
-      } else if (key == "asn") {
-        std::uint64_t asn = 0;
-        if (!parse_u64(value, asn) || asn > 0xffffffffull)
-          return bad_request("malformed asn");
-        call.predicate.match_asn(static_cast<meta::Asn>(asn));
-      } else if (key == "country") {
-        call.predicate.match_country(meta::CountryCode(value));
-      } else if (key == "proto") {
-        std::uint64_t proto = 0;
-        if (!parse_u64(value, proto) || proto > 0xff)
-          return bad_request("malformed proto");
-        call.predicate.match_proto(static_cast<std::uint8_t>(proto));
-      } else if (key == "kind") {
-        const auto kind = core::parse_alert_kind(value);
-        if (!kind) return bad_request("unknown kind: " + value);
-        call.predicate.match_kind(*kind);
-      } else {
-        return bad_request("unknown parameter: " + key);
-      }
-    } catch (const std::invalid_argument& e) {
-      return bad_request(std::string("malformed ") + key + ": " + e.what());
-    }
-  }
-  return call;
+  return parse_predicate_params(params);
 }
 
 ApiCall parse_unsubscribe(const HttpRequest& request, const RequestContext&) {
   ApiCall call;
-  std::vector<std::pair<std::string, std::string>> params;
+  Params params;
   if (std::string error = collect_params(request, params); !error.empty())
     return bad_request(std::move(error));
   bool have_id = false;
@@ -97,7 +41,7 @@ ApiCall parse_unsubscribe(const HttpRequest& request, const RequestContext&) {
 
 ApiCall parse_watch(const HttpRequest& request, const RequestContext&) {
   ApiCall call;
-  std::vector<std::pair<std::string, std::string>> params;
+  Params params;
   if (std::string error = collect_params(request, params); !error.empty())
     return bad_request(std::move(error));
   bool have_id = false;
@@ -218,6 +162,38 @@ ApiResponse exec_watch(const ApiCall& call, const RequestContext& ctx) {
 }
 
 }  // namespace
+
+ApiCall parse_predicate_params(const Params& params) {
+  ApiCall call;
+  for (const auto& [key, value] : params) {
+    try {
+      if (key == "prefix") {
+        call.predicate.match_prefix(net::Prefix::parse(value));
+      } else if (key == "asn") {
+        std::uint64_t asn = 0;
+        if (!parse_u64(value, asn) || asn > 0xffffffffull)
+          return bad_request("malformed asn");
+        call.predicate.match_asn(static_cast<meta::Asn>(asn));
+      } else if (key == "country") {
+        call.predicate.match_country(meta::CountryCode(value));
+      } else if (key == "proto") {
+        std::uint64_t proto = 0;
+        if (!parse_u64(value, proto) || proto > 0xff)
+          return bad_request("malformed proto");
+        call.predicate.match_proto(static_cast<std::uint8_t>(proto));
+      } else if (key == "kind") {
+        const auto kind = core::parse_alert_kind(value);
+        if (!kind) return bad_request("unknown kind: " + value);
+        call.predicate.match_kind(*kind);
+      } else {
+        return bad_request("unknown parameter: " + key);
+      }
+    } catch (const std::invalid_argument& e) {
+      return bad_request(std::string("malformed ") + key + ": " + e.what());
+    }
+  }
+  return call;
+}
 
 void install_subscribe_routes(Router& router) {
   router.add("POST", "/subscribe", parse_subscribe, exec_subscribe);

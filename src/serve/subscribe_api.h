@@ -21,9 +21,18 @@
 // disabled" on all three.
 #pragma once
 
+#include "serve/api.h"
+
 namespace dosm::serve {
 
 class Router;
+
+/// Maps subscription-predicate parameters (prefix, asn, country, proto,
+/// kind) onto ApiCall::predicate — the one grammar behind both POST
+/// /subscribe and the `dosmeter watch` flags. A key given twice applies
+/// last-wins (collect_params rejects it for HTTP). Never throws; errors
+/// land in ApiCall::error.
+ApiCall parse_predicate_params(const Params& params);
 
 /// Registers POST/DELETE /subscribe and GET /watch (none cacheable — they
 /// read or mutate live dispatcher state, not a snapshot).

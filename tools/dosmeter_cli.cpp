@@ -16,7 +16,8 @@
 //
 //   dosmeter query [world options] [--load-events F] [filters] [aggregations]
 //     runs ad-hoc queries against the indexed event store (src/query);
-//     see query_usage() below for the filter/aggregation flags.
+//     its filter/aggregation flags are the /query parameters (src/serve/api.h);
+//     see kQueryUsage below.
 //
 //   dosmeter detect [--seed N] [--threads N] [--shards N] [--save-events F]
 //     runs the packet-level detection pipeline (telescope backscatter +
@@ -35,25 +36,30 @@
 //   dosmeter serve [world options] [--port N] [--workers N] ...
 //     starts the HTTP/JSON query server (src/serve) over a simulated
 //     world's snapshot, with a live subscription feed (/subscribe, /watch)
-//     replaying the dataset day by day; see serve_usage() below.
+//     replaying the dataset day by day; see kServeUsage below.
 //
 //   dosmeter watch [world options] [--prefix P] [--asn N] [--kind K] ...
 //     registers one subscription predicate, replays the dataset through
 //     the push dispatcher (src/subscribe), and prints the notifications a
-//     live watcher would have received; see watch_usage() below.
+//     live watcher would have received; its predicate flags are the
+//     /subscribe parameters (src/serve/subscribe_api.h); see kWatchUsage.
 //
 //   dosmeter archive save|load ...
 //     seals a snapshot into the compressed on-disk segment archive
 //     (src/storage) and queries it back through the tiered hot/cold path;
-//     see archive_usage() below.
+//     see kArchiveUsage below.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "common/strings.h"
@@ -75,7 +81,9 @@
 #include "parallel/workload.h"
 #include "query/engine.h"
 #include "query/snapshot.h"
+#include "serve/api.h"
 #include "serve/server.h"
+#include "serve/subscribe_api.h"
 #include "sim/scenario.h"
 #include "storage/archive.h"
 #include "storage/tiered.h"
@@ -85,6 +93,299 @@ namespace {
 
 using namespace dosm;
 
+// Upper bounds that keep a typo from asking for an absurd world or pool.
+constexpr int kMaxDays = 100000;
+constexpr int kMaxThreads = 1024;
+
+/// Parses all of `text` as a number in [min, max]; nullopt otherwise
+/// (trailing bytes, a sign on an unsigned type, NaN, out of range).
+template <typename T>
+std::optional<T> parse_number(std::string_view text, T min, T max) {
+  T value{};
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || end != text.data() + text.size() ||
+      !(value >= min && value <= max))
+    return std::nullopt;
+  return value;
+}
+
+/// Walks one subcommand's argv. Every value is parsed in full and range
+/// checked; a bad flag prints "<flag>: <why>" and exits 2 after the
+/// subcommand's help, before any dataset is loaded.
+class Args {
+ public:
+  Args(int argc, char** argv, int first, std::string_view help)
+      : argc_(argc), argv_(argv), next_(first), help_(help) {}
+
+  /// Steps to the next flag (answering --help); false once argv is done.
+  bool next() {
+    if (next_ >= argc_) return false;
+    flag_ = argv_[next_++];
+    if (flag_ == "--help" || flag_ == "-h") usage(0);
+    return true;
+  }
+
+  bool is(std::string_view name) const { return flag_ == name; }
+
+  /// The current flag's value.
+  std::string value() {
+    if (next_ >= argc_) fail("missing value");
+    return argv_[next_++];
+  }
+
+  /// The current flag's value as an integer in [min, max].
+  template <typename T>
+  T integer(T min, T max = std::numeric_limits<T>::max()) {
+    const std::string text = value();
+    const auto number = parse_number(text, min, max);
+    if (!number)
+      fail("'" + text + "' is not an integer in [" + std::to_string(min) +
+           ", " + std::to_string(max) + "]");
+    return *number;
+  }
+
+  /// The current flag's value as a finite number >= min.
+  double real(double min) {
+    const std::string text = value();
+    const auto number =
+        parse_number(text, min, std::numeric_limits<double>::max());
+    if (!number)
+      fail("'" + text + "' is not a finite number >= " + fixed(min, 0));
+    return *number;
+  }
+
+  /// Reads the current flag into `params` as `key=value` if `flags` maps
+  /// it to a parameter of the grammar `parse` implements. The value is
+  /// checked on its own right away, so an error names the flag.
+  template <typename Parse>
+  bool param(std::span<const std::pair<std::string_view, std::string_view>> flags,
+             const Parse& parse, serve::Params& params) {
+    for (const auto& [flag, key] : flags) {
+      if (flag_ != flag) continue;
+      serve::Params one{{std::string(key), value()}};
+      if (const std::string error = parse(one).error; !error.empty())
+        fail(error);
+      params.push_back(std::move(one.front()));
+      return true;
+    }
+    return false;
+  }
+
+  [[noreturn]] void fail(const std::string& why) const {
+    std::cerr << flag_ << ": " << why << "\n";
+    usage(2);
+  }
+  [[noreturn]] void unknown() const { fail("unknown option"); }
+
+  [[noreturn]] void usage(int code) const {
+    std::cout << help_;
+    std::exit(code);
+  }
+
+ private:
+  int argc_;
+  char** argv_;
+  int next_;
+  std::string_view help_;
+  std::string flag_;
+};
+
+/// `dosmeter query` / `archive load` flags and the /query parameters they
+/// set; --explain (no value) sets explain=1.
+constexpr std::pair<std::string_view, std::string_view> kQueryFlags[] = {
+    {"--from", "from"},       {"--to", "to"},
+    {"--source", "source"},   {"--prefix", "prefix"},
+    {"--asn", "asn"},         {"--country", "country"},
+    {"--port", "port"},       {"--min-intensity", "min_intensity"},
+    {"--agg", "agg"},         {"--k", "k"}};
+
+/// Reads the current flag if it is a query filter or aggregation flag.
+bool query_flag(Args& args, serve::Params& params) {
+  if (args.is("--explain")) {
+    params.emplace_back("explain", "1");
+    return true;
+  }
+  return args.param(
+      kQueryFlags,
+      [](const serve::Params& one) {
+        return serve::parse_query_params(one, StudyWindow{});
+      },
+      params);
+}
+
+/// Reads the current flag if it is a world option.
+bool world_flag(Args& args, sim::ScenarioConfig& scenario) {
+  if (args.is("--seed")) {
+    scenario.seed = args.integer<std::uint64_t>(0);
+  } else if (args.is("--days")) {
+    const int days = args.integer(2, kMaxDays);
+    scenario.window.end =
+        civil_from_days(days_from_civil(scenario.window.start) + days - 1);
+  } else if (args.is("--domains")) {
+    scenario.hosting.num_domains = args.integer(1);
+  } else if (args.is("--direct")) {
+    scenario.attacker.direct_per_day = args.real(0.0);
+  } else if (args.is("--reflection")) {
+    scenario.attacker.reflection_per_day = args.real(0.0);
+  } else {
+    return false;
+  }
+  return true;
+}
+
+/// How a subcommand builds its snapshot; the output is the same for any
+/// value of either.
+struct BuildFlags {
+  int threads = 1;
+  int segment_days = 0;  // 0 = one segment
+};
+
+/// Reads the current flag if it is a snapshot build option.
+bool build_flag(Args& args, BuildFlags& build) {
+  if (args.is("--threads"))
+    build.threads = args.integer(1, kMaxThreads);
+  else if (args.is("--segment-days"))
+    build.segment_days = args.integer(0);
+  else
+    return false;
+  return true;
+}
+
+/// Where a subcommand's events come from: a simulated world, or a binary
+/// event dump when `load_events` is set.
+struct Dataset {
+  sim::ScenarioConfig scenario;
+  std::string load_events;
+};
+
+/// Reads the current flag if it is a dataset option.
+bool dataset_flag(Args& args, Dataset& dataset) {
+  if (!args.is("--load-events")) return world_flag(args, dataset.scenario);
+  dataset.load_events = args.value();
+  return true;
+}
+
+/// A dataset in memory. A dump carries no AS or geo metadata, so ASN and
+/// country filters match nothing on it.
+class LoadedDataset {
+ public:
+  explicit LoadedDataset(const Dataset& dataset)
+      : window_(dataset.scenario.window) {
+    if (!dataset.load_events.empty()) {
+      dump_ = core::load_events(dataset.load_events);
+      std::cerr << "[dosmeter] loaded " << dump_.size() << " events from "
+                << dataset.load_events << "\n";
+    } else {
+      std::cerr << "[dosmeter] building " << window_.num_days()
+                << "-day world (seed " << dataset.scenario.seed << ")...\n";
+      world_ = sim::build_world(dataset.scenario);
+    }
+  }
+
+  const StudyWindow& window() const { return window_; }
+
+  /// The events in store (world) or file (dump) order.
+  std::span<const core::AttackEvent> events() const {
+    return world_ ? world_->store.events()
+                  : std::span<const core::AttackEvent>(dump_);
+  }
+
+  std::shared_ptr<const query::Snapshot> snapshot(
+      const BuildFlags& build, std::uint64_t version = 0) const {
+    const query::BuildContext ctx{pfx2as(), geo(), build.threads,
+                                  build.segment_days};
+    auto snapshot = query::Snapshot::build(window_, events(), ctx, version);
+    std::cerr << "[dosmeter] snapshot ready: " << snapshot->size()
+              << " events indexed in " << snapshot->num_segments()
+              << " segment(s)\n";
+    return snapshot;
+  }
+
+  subscribe::DispatcherConfig dispatcher_config() const {
+    subscribe::DispatcherConfig config;
+    config.window = window_;
+    if (world_) {
+      config.pfx2as = &world_->population.pfx2as();
+      config.geo = &world_->population.geo();
+    }
+    return config;
+  }
+
+ private:
+  const meta::PrefixToAsMap& pfx2as() const {
+    return world_ ? world_->population.pfx2as() : no_pfx2as_;
+  }
+  const meta::GeoDatabase& geo() const {
+    return world_ ? world_->population.geo() : no_geo_;
+  }
+
+  StudyWindow window_;
+  std::unique_ptr<sim::World> world_;
+  std::vector<core::AttackEvent> dump_;
+  meta::PrefixToAsMap no_pfx2as_;
+  meta::GeoDatabase no_geo_;
+};
+
+/// Replays events one study day at a time through streaming fusion and
+/// the dispatcher, which is also fusion's alert sink: day-level spike
+/// alerts dispatch alongside the per-event new-attack alerts. The
+/// dispatcher ticks at each day boundary, then the replay sleeps `pause`.
+void replay_days(std::span<const core::AttackEvent> events,
+                 const StudyWindow& window, subscribe::Dispatcher& dispatcher,
+                 std::chrono::milliseconds pause = {}) {
+  std::vector<core::AttackEvent> sorted(events.begin(), events.end());
+  std::sort(sorted.begin(), sorted.end(), core::canonical_less);
+  core::StreamingFusion fusion(window, {}, [](const core::DaySummary&) {},
+                               &dispatcher);
+  int open_day = -1;
+  for (const auto& event : sorted) {
+    const auto t = static_cast<UnixSeconds>(event.start);
+    const int day = window.contains(t) ? window.day_of(t) : -1;
+    if (day != open_day && open_day != -1) {
+      dispatcher.tick();
+      std::this_thread::sleep_for(pause);
+    }
+    open_day = day;
+    fusion.ingest(event);
+    dispatcher.ingest(event);
+  }
+  fusion.finish();
+  dispatcher.tick();
+}
+
+/// Both detectors' events as one canonically ordered list.
+std::vector<core::AttackEvent> fuse(
+    std::span<const telescope::TelescopeEvent> telescope_events,
+    std::span<const amppot::AmpPotEvent> honeypot_events) {
+  std::vector<core::AttackEvent> events;
+  events.reserve(telescope_events.size() + honeypot_events.size());
+  for (const auto& event : telescope_events)
+    events.push_back(core::from_telescope(event));
+  for (const auto& event : honeypot_events)
+    events.push_back(core::from_amppot(event));
+  std::sort(events.begin(), events.end(), core::canonical_less);
+  return events;
+}
+
+void write_events(const std::string& path,
+                  std::span<const core::AttackEvent> events) {
+  if (path.empty()) return;
+  core::save_events(path, events);
+  std::cerr << "[dosmeter] wrote " << events.size() << " events to " << path
+            << "\n";
+}
+
+void write_metrics(const std::string& path) {
+  if (path.empty()) return;
+  obs::write_metrics_file(path, obs::MetricsRegistry::global());
+  std::cerr << "[dosmeter] wrote metrics to " << path << "\n";
+}
+
+// ---------------------------------------------------------------------------
+// `dosmeter` — the full report over a simulated world.
+// ---------------------------------------------------------------------------
+
 struct Options {
   sim::ScenarioConfig scenario;
   std::string out_dir;
@@ -92,64 +393,33 @@ struct Options {
   bool quiet = false;
 };
 
-[[noreturn]] void usage(int code) {
-  std::cout <<
-      "dosmeter — macroscopic DoS-ecosystem characterization\n"
-      "  --seed N        world seed (default 42)\n"
-      "  --days N        study window length in days (default 731)\n"
-      "  --domains N     Web domains in the namespace (default 60000)\n"
-      "  --direct N      ground-truth direct attacks/day (default 440)\n"
-      "  --reflection N  ground-truth reflection attacks/day (default 75)\n"
-      "  --out DIR       write CSV reports into DIR\n"
-      "  --save-events F write the detected events as a binary dump\n"
-      "  --quiet         suppress the text report\n"
-      "subcommands:\n"
-      "  dosmeter query --help    ad-hoc queries over the event store\n"
-      "  dosmeter detect --help   packet-level parallel detection\n"
-      "  dosmeter metrics --help  pipeline observability view\n"
-      "  dosmeter serve --help    HTTP/JSON query server\n"
-      "  dosmeter watch --help    push-based subscription replay\n"
-      "  dosmeter archive --help  on-disk segment archives\n";
-  std::exit(code);
-}
+constexpr std::string_view kUsage =
+    "dosmeter — macroscopic DoS-ecosystem characterization\n"
+    "  --seed N        world seed (default 42)\n"
+    "  --days N        study window length in days (default 731)\n"
+    "  --domains N     Web domains in the namespace (default 60000)\n"
+    "  --direct N      ground-truth direct attacks/day (default 440)\n"
+    "  --reflection N  ground-truth reflection attacks/day (default 75)\n"
+    "  --out DIR       write CSV reports into DIR\n"
+    "  --save-events F write the detected events as a binary dump\n"
+    "  --quiet         suppress the text report\n"
+    "subcommands:\n"
+    "  dosmeter query --help    ad-hoc queries over the event store\n"
+    "  dosmeter detect --help   packet-level parallel detection\n"
+    "  dosmeter metrics --help  pipeline observability view\n"
+    "  dosmeter serve --help    HTTP/JSON query server\n"
+    "  dosmeter watch --help    push-based subscription replay\n"
+    "  dosmeter archive --help  on-disk segment archives\n";
 
 Options parse_options(int argc, char** argv) {
   Options options;
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      usage(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") usage(0);
-    else if (arg == "--seed") options.scenario.seed = std::stoull(need_value(i));
-    else if (arg == "--days") {
-      const int days = std::stoi(need_value(i));
-      if (days < 2) {
-        std::cerr << "--days must be >= 2\n";
-        usage(2);
-      }
-      options.scenario.window.end = civil_from_days(
-          days_from_civil(options.scenario.window.start) + days - 1);
-    } else if (arg == "--domains") {
-      options.scenario.hosting.num_domains = std::stoi(need_value(i));
-    } else if (arg == "--direct") {
-      options.scenario.attacker.direct_per_day = std::stod(need_value(i));
-    } else if (arg == "--reflection") {
-      options.scenario.attacker.reflection_per_day = std::stod(need_value(i));
-    } else if (arg == "--out") {
-      options.out_dir = need_value(i);
-    } else if (arg == "--save-events") {
-      options.save_events = need_value(i);
-    } else if (arg == "--quiet") {
-      options.quiet = true;
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      usage(2);
-    }
+  Args args(argc, argv, 1, kUsage);
+  while (args.next()) {
+    if (world_flag(args, options.scenario)) continue;
+    if (args.is("--out")) options.out_dir = args.value();
+    else if (args.is("--save-events")) options.save_events = args.value();
+    else if (args.is("--quiet")) options.quiet = true;
+    else args.unknown();
   }
   return options;
 }
@@ -175,95 +445,72 @@ struct DetectOptions {
   bool quiet = false;
 };
 
-[[noreturn]] void detect_usage(int code) {
-  std::cout <<
-      "dosmeter detect — packet-level detection (sharded parallel pipeline)\n"
-      "  --seed N        workload seed (default 42)\n"
-      "  --direct N      ground-truth spoofed attacks (default 400)\n"
-      "  --reflection N  ground-truth reflection attacks (default 120)\n"
-      "  --hours H       capture window length in hours (default 4)\n"
-      "  --pcap F        replay a pcap capture through the batched ingest\n"
-      "                  front end (src/ingest) instead of the synthetic\n"
-      "                  workload; telescope detection only\n"
-      "  --batch-frames N   frames per ingest batch (default 512)\n"
-      "  --ring-capacity N  ingest ring capacity in batches (default 8)\n"
-      "  --ring-policy P    block|drop on a full ring (default block;\n"
-      "                     drop trades determinism for capture latency)\n"
-      "  --save-pcap F   write the synthetic telescope capture to F\n"
-      "                  (LINKTYPE_RAW) and exit\n"
-      "  --threads N     worker threads (default 1)\n"
-      "  --shards N      victim-hash shards (default: one per thread)\n"
-      "  --save-events F write the fused events as a binary dump\n"
-      "  --metrics-out F write pipeline metrics after the run\n"
-      "                  (.prom -> Prometheus text, else JSON)\n"
-      "  --quiet         suppress the text summary\n"
-      "Output is byte-identical for every --threads/--shards setting, every\n"
-      "--batch-frames/--ring-capacity setting (with the block policy), and\n"
-      "with or without --metrics-out.\n";
-  std::exit(code);
-}
+constexpr std::string_view kDetectUsage =
+    "dosmeter detect — packet-level detection (sharded parallel pipeline)\n"
+    "  --seed N        workload seed (default 42)\n"
+    "  --direct N      ground-truth spoofed attacks (default 400)\n"
+    "  --reflection N  ground-truth reflection attacks (default 120)\n"
+    "  --hours H       capture window length in hours (default 4)\n"
+    "  --pcap F        replay a pcap capture through the batched ingest\n"
+    "                  front end (src/ingest) instead of the synthetic\n"
+    "                  workload; telescope detection only\n"
+    "  --batch-frames N   frames per ingest batch (default 512)\n"
+    "  --ring-capacity N  ingest ring capacity in batches (default 8)\n"
+    "  --ring-policy P    block|drop on a full ring (default block;\n"
+    "                     drop trades determinism for capture latency)\n"
+    "  --save-pcap F   write the synthetic telescope capture to F\n"
+    "                  (LINKTYPE_RAW) and exit\n"
+    "  --threads N     worker threads (default 1)\n"
+    "  --shards N      victim-hash shards (default: one per thread)\n"
+    "  --save-events F write the fused events as a binary dump\n"
+    "  --metrics-out F write pipeline metrics after the run\n"
+    "                  (.prom -> Prometheus text, else JSON)\n"
+    "  --quiet         suppress the text summary\n"
+    "Output is byte-identical for every --threads/--shards setting, every\n"
+    "--batch-frames/--ring-capacity setting (with the block policy), and\n"
+    "with or without --metrics-out.\n";
 
 DetectOptions parse_detect_options(int argc, char** argv) {
   DetectOptions options;
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      detect_usage(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") detect_usage(0);
-    else if (arg == "--seed") options.workload.seed = std::stoull(need_value(i));
-    else if (arg == "--direct") {
-      options.workload.direct_attacks = std::stoi(need_value(i));
-    } else if (arg == "--reflection") {
-      options.workload.reflection_attacks = std::stoi(need_value(i));
-    } else if (arg == "--hours") {
-      options.workload.window_s = std::stod(need_value(i)) * 3600.0;
-    } else if (arg == "--threads") {
-      options.parallel.threads = std::stoi(need_value(i));
-    } else if (arg == "--shards") {
-      options.parallel.shards = std::stoi(need_value(i));
-    } else if (arg == "--pcap") {
-      options.pcap_in = need_value(i);
-    } else if (arg == "--save-pcap") {
-      options.save_pcap = need_value(i);
-    } else if (arg == "--batch-frames") {
-      options.ingest.batch_frames =
-          static_cast<std::size_t>(std::stoul(need_value(i)));
-    } else if (arg == "--ring-capacity") {
-      options.ingest.ring_capacity =
-          static_cast<std::size_t>(std::stoul(need_value(i)));
-    } else if (arg == "--ring-policy") {
-      const std::string policy = need_value(i);
-      if (policy == "block") {
+  Args args(argc, argv, 2, kDetectUsage);
+  while (args.next()) {
+    if (args.is("--seed")) {
+      options.workload.seed = args.integer<std::uint64_t>(0);
+    } else if (args.is("--direct")) {
+      options.workload.direct_attacks = args.integer(0);
+    } else if (args.is("--reflection")) {
+      options.workload.reflection_attacks = args.integer(0);
+    } else if (args.is("--hours")) {
+      options.workload.window_s = args.real(0.0) * 3600.0;
+    } else if (args.is("--threads")) {
+      options.parallel.threads = args.integer(1, kMaxThreads);
+    } else if (args.is("--shards")) {
+      options.parallel.shards = args.integer(0, 1 << 16);
+    } else if (args.is("--pcap")) {
+      options.pcap_in = args.value();
+    } else if (args.is("--save-pcap")) {
+      options.save_pcap = args.value();
+    } else if (args.is("--batch-frames")) {
+      options.ingest.batch_frames = args.integer<std::size_t>(1, 1 << 24);
+    } else if (args.is("--ring-capacity")) {
+      options.ingest.ring_capacity = args.integer<std::size_t>(1, 1 << 16);
+    } else if (args.is("--ring-policy")) {
+      const std::string policy = args.value();
+      if (policy == "block")
         options.ingest.policy = ingest::Backpressure::kBlock;
-      } else if (policy == "drop") {
+      else if (policy == "drop")
         options.ingest.policy = ingest::Backpressure::kDrop;
-      } else {
-        std::cerr << "--ring-policy must be block or drop\n";
-        detect_usage(2);
-      }
-    } else if (arg == "--save-events") {
-      options.save_events = need_value(i);
-    } else if (arg == "--metrics-out") {
-      options.metrics_out = need_value(i);
-    } else if (arg == "--quiet") {
+      else
+        args.fail("must be block or drop");
+    } else if (args.is("--save-events")) {
+      options.save_events = args.value();
+    } else if (args.is("--metrics-out")) {
+      options.metrics_out = args.value();
+    } else if (args.is("--quiet")) {
       options.quiet = true;
     } else {
-      std::cerr << "unknown detect option: " << arg << "\n";
-      detect_usage(2);
+      args.unknown();
     }
-  }
-  if (options.parallel.threads < 1 || options.parallel.shards < 0) {
-    std::cerr << "--threads must be >= 1 and --shards >= 0\n";
-    detect_usage(2);
-  }
-  if (options.ingest.batch_frames < 1 || options.ingest.ring_capacity < 1) {
-    std::cerr << "--batch-frames and --ring-capacity must be >= 1\n";
-    detect_usage(2);
   }
   return options;
 }
@@ -316,13 +563,8 @@ int detect_main(int argc, char** argv) {
       fleet ? parallel::parallel_harvest(*fleet, {}, options.parallel)
             : std::vector<amppot::AmpPotEvent>{};
 
-  std::vector<core::AttackEvent> events;
-  events.reserve(telescope_events.size() + honeypot_events.size());
-  for (const auto& event : telescope_events)
-    events.push_back(core::from_telescope(event));
-  for (const auto& event : honeypot_events)
-    events.push_back(core::from_amppot(event));
-  std::sort(events.begin(), events.end(), core::canonical_less);
+  const std::vector<core::AttackEvent> events =
+      fuse(telescope_events, honeypot_events);
 
   if (!options.quiet) {
     const auto& stats = detector.stats();
@@ -338,15 +580,8 @@ int detect_main(int argc, char** argv) {
     std::cout << table;
   }
 
-  if (!options.save_events.empty()) {
-    core::save_events(options.save_events, events);
-    std::cerr << "[dosmeter] wrote " << events.size() << " events to "
-              << options.save_events << "\n";
-  }
-  if (!options.metrics_out.empty()) {
-    obs::write_metrics_file(options.metrics_out, obs::MetricsRegistry::global());
-    std::cerr << "[dosmeter] wrote metrics to " << options.metrics_out << "\n";
-  }
+  write_events(options.save_events, events);
+  write_metrics(options.metrics_out);
   return 0;
 }
 
@@ -355,59 +590,53 @@ int detect_main(int argc, char** argv) {
 // ---------------------------------------------------------------------------
 
 struct QueryOptions {
-  sim::ScenarioConfig scenario;
-  std::string load_events;  // binary dump instead of a simulated world
-  query::Query query;
-  std::optional<CivilDate> from;
-  std::optional<CivilDate> to;
-  std::string agg = "summary";
-  std::size_t k = 10;
-  int threads = 1;
-  int segment_days = 0;
-  bool explain = false;
+  Dataset dataset;
+  serve::Params params;  // /query parameters, one per filter flag
+  BuildFlags build;
   std::string metrics_out;
 };
 
-[[noreturn]] void query_usage(int code) {
-  std::cout <<
-      "dosmeter query — ad-hoc queries over the fused event dataset\n"
-      "dataset (pick one):\n"
-      "  --seed/--days/--domains/--direct/--reflection   simulate a world\n"
-      "  --load-events F   query a binary event dump (dosmeter --save-events);\n"
-      "                    ASN/country columns resolve only with a simulated\n"
-      "                    world, so those filters match nothing on a dump\n"
-      "filters (ANDed):\n"
-      "  --from YYYY-MM-DD     events starting on/after this day\n"
-      "  --to YYYY-MM-DD       events starting on/before this day\n"
-      "  --source S            telescope | honeypot | combined\n"
-      "  --prefix A.B.C.D/L    target inside the CIDR prefix\n"
-      "  --asn N               origin AS of the target\n"
-      "  --country CC          geolocated country of the target\n"
-      "  --port N              dominant victim port\n"
-      "  --min-intensity X     raw intensity >= X\n"
-      "aggregation:\n"
-      "  --agg A    summary | daily | top-targets | top-asns | top-countries\n"
-      "             | events   (default: summary)\n"
-      "  --k N      rows for top-k / events listings (default 10)\n"
-      "  --threads N  worker threads for the snapshot build (default 1;\n"
-      "               identical output for any value)\n"
-      "  --segment-days N  days per sealed snapshot segment (default 0 =\n"
-      "               one segment; identical output for any value)\n"
-      "  --explain  print the planner's chosen access path\n"
-      "  --metrics-out F  write pipeline metrics after the run\n"
-      "                   (.prom -> Prometheus text, else JSON)\n";
-  std::exit(code);
-}
+constexpr std::string_view kQueryUsage =
+    "dosmeter query — ad-hoc queries over the fused event dataset\n"
+    "dataset (pick one):\n"
+    "  --seed/--days/--domains/--direct/--reflection   simulate a world\n"
+    "  --load-events F   query a binary event dump (dosmeter --save-events);\n"
+    "                    ASN/country columns resolve only with a simulated\n"
+    "                    world, so those filters match nothing on a dump\n"
+    "filters (ANDed):\n"
+    "  --from YYYY-MM-DD     events starting on/after this day\n"
+    "  --to YYYY-MM-DD       events starting on/before this day\n"
+    "  --source S            telescope | honeypot | combined\n"
+    "  --prefix A.B.C.D/L    target inside the CIDR prefix\n"
+    "  --asn N               origin AS of the target\n"
+    "  --country CC          geolocated country of the target\n"
+    "  --port N              dominant victim port\n"
+    "  --min-intensity X     raw intensity >= X\n"
+    "aggregation:\n"
+    "  --agg A    summary | daily | top-targets | top-asns | top-countries\n"
+    "             | events   (default: summary)\n"
+    "  --k N      rows for top-k / events listings (default 10)\n"
+    "  --threads N  worker threads for the snapshot build (default 1;\n"
+    "               identical output for any value)\n"
+    "  --segment-days N  days per sealed snapshot segment (default 0 =\n"
+    "               one segment; identical output for any value)\n"
+    "  --explain  print the planner's chosen access path\n"
+    "  --metrics-out F  write pipeline metrics after the run\n"
+    "                   (.prom -> Prometheus text, else JSON)\n";
 
-/// Runs one aggregation and prints its table — shared by `dosmeter query`
+/// Runs one /query call and prints its table — shared by `dosmeter query`
 /// (in-memory snapshots) and `dosmeter archive load` (tiered snapshots), so
-/// both paths render byte-identical output for the same dataset. Returns
-/// false on an unknown aggregation name.
-bool print_aggregation(const query::Snapshot& snapshot,
-                       const StudyWindow& window, const query::Query& q,
-                       const std::string& agg, std::size_t k, bool explain) {
+/// both paths render byte-identical output for the same dataset.
+void print_aggregation(const query::Snapshot& snapshot,
+                       const serve::Params& params) {
+  const serve::ApiCall call =
+      serve::parse_query_params(params, snapshot.window());
+  if (!call.error.empty()) throw std::invalid_argument(call.error);
+  const query::Query& q = call.query;
+  const std::string& agg = call.agg;
+  const std::size_t k = call.k;
   std::cout << "query: " << query::to_string(q) << "\n";
-  if (explain)
+  if (call.explain)
     std::cout << "plan:  " << query::to_string(snapshot.plan(q)) << "\n";
 
   if (agg == "summary") {
@@ -418,7 +647,8 @@ bool print_aggregation(const query::Snapshot& snapshot,
     TextTable table({"date", "attacks"});
     for (int d = 0; d < daily.num_days(); ++d) {
       if (daily.at(d) == 0.0) continue;
-      table.add_row({to_string(window.date_of_day(d)), fixed(daily.at(d), 0)});
+      table.add_row({to_string(snapshot.window().date_of_day(d)),
+                     fixed(daily.at(d), 0)});
     }
     std::cout << table;
   } else if (agg == "top-targets") {
@@ -438,7 +668,7 @@ bool print_aggregation(const query::Snapshot& snapshot,
       table.add_row({row.country.to_string(), std::to_string(row.targets),
                      percent(row.share, 2)});
     std::cout << table;
-  } else if (agg == "events") {
+  } else {  // events
     const auto rows = snapshot.match_rows(q);
     TextTable table({"start", "target", "source", "intensity", "port"});
     for (std::size_t i = 0; i < rows.size() && i < k; ++i) {
@@ -454,147 +684,29 @@ bool print_aggregation(const query::Snapshot& snapshot,
     std::cout << table;
     if (rows.size() > k)
       std::cout << "(" << rows.size() - k << " more rows; raise --k)\n";
-  } else {
-    return false;
   }
-  return true;
 }
 
 QueryOptions parse_query_options(int argc, char** argv) {
   QueryOptions options;
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      query_usage(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") query_usage(0);
-    else if (arg == "--seed") options.scenario.seed = std::stoull(need_value(i));
-    else if (arg == "--days") {
-      const int days = std::stoi(need_value(i));
-      if (days < 2) {
-        std::cerr << "--days must be >= 2\n";
-        query_usage(2);
-      }
-      options.scenario.window.end = civil_from_days(
-          days_from_civil(options.scenario.window.start) + days - 1);
-    } else if (arg == "--domains") {
-      options.scenario.hosting.num_domains = std::stoi(need_value(i));
-    } else if (arg == "--direct") {
-      options.scenario.attacker.direct_per_day = std::stod(need_value(i));
-    } else if (arg == "--reflection") {
-      options.scenario.attacker.reflection_per_day = std::stod(need_value(i));
-    } else if (arg == "--load-events") {
-      options.load_events = need_value(i);
-    } else if (arg == "--from") {
-      options.from = parse_civil(need_value(i));
-    } else if (arg == "--to") {
-      options.to = parse_civil(need_value(i));
-    } else if (arg == "--source") {
-      const std::string value = need_value(i);
-      if (value == "telescope")
-        options.query.from_source(core::SourceFilter::kTelescope);
-      else if (value == "honeypot")
-        options.query.from_source(core::SourceFilter::kHoneypot);
-      else if (value == "combined")
-        options.query.from_source(core::SourceFilter::kCombined);
-      else {
-        std::cerr << "--source must be telescope|honeypot|combined\n";
-        query_usage(2);
-      }
-    } else if (arg == "--prefix") {
-      options.query.in_prefix(net::Prefix::parse(need_value(i)));
-    } else if (arg == "--asn") {
-      options.query.in_asn(static_cast<meta::Asn>(std::stoul(need_value(i))));
-    } else if (arg == "--country") {
-      options.query.in_country(meta::CountryCode(need_value(i)));
-    } else if (arg == "--port") {
-      options.query.on_port(static_cast<std::uint16_t>(std::stoi(need_value(i))));
-    } else if (arg == "--min-intensity") {
-      options.query.at_least(std::stod(need_value(i)));
-    } else if (arg == "--agg") {
-      options.agg = need_value(i);
-    } else if (arg == "--k") {
-      options.k = static_cast<std::size_t>(std::stoul(need_value(i)));
-    } else if (arg == "--threads") {
-      options.threads = std::stoi(need_value(i));
-      if (options.threads < 1) {
-        std::cerr << "--threads must be >= 1\n";
-        query_usage(2);
-      }
-    } else if (arg == "--segment-days") {
-      options.segment_days = std::stoi(need_value(i));
-      if (options.segment_days < 0) {
-        std::cerr << "--segment-days must be >= 0\n";
-        query_usage(2);
-      }
-    } else if (arg == "--explain") {
-      options.explain = true;
-    } else if (arg == "--metrics-out") {
-      options.metrics_out = need_value(i);
-    } else {
-      std::cerr << "unknown query option: " << arg << "\n";
-      query_usage(2);
-    }
+  Args args(argc, argv, 2, kQueryUsage);
+  while (args.next()) {
+    if (dataset_flag(args, options.dataset) ||
+        query_flag(args, options.params) || build_flag(args, options.build))
+      continue;
+    if (args.is("--metrics-out"))
+      options.metrics_out = args.value();
+    else
+      args.unknown();
   }
   return options;
 }
 
 int query_main(int argc, char** argv) {
-  QueryOptions options = parse_query_options(argc, argv);
-
-  // Materialize the snapshot: either over a simulated world (full metadata)
-  // or over a binary event dump (empty metadata).
-  std::shared_ptr<const query::Snapshot> snapshot;
-  StudyWindow window = options.scenario.window;
-  const meta::PrefixToAsMap empty_pfx2as;
-  const meta::GeoDatabase empty_geo;
-  std::unique_ptr<sim::World> world;
-  if (!options.load_events.empty()) {
-    const auto events = core::load_events(options.load_events);
-    std::cerr << "[dosmeter] loaded " << events.size() << " events from "
-              << options.load_events << "\n";
-    snapshot = query::Snapshot::build(
-        window, events,
-        query::BuildContext{empty_pfx2as, empty_geo, options.threads,
-                            options.segment_days});
-  } else {
-    std::cerr << "[dosmeter] building " << window.num_days()
-              << "-day world (seed " << options.scenario.seed << ")...\n";
-    world = sim::build_world(options.scenario);
-    snapshot = query::Snapshot::from_store(
-        world->store,
-        query::BuildContext{world->population.pfx2as(),
-                            world->population.geo(), options.threads,
-                            options.segment_days});
-  }
-  std::cerr << "[dosmeter] snapshot ready: " << snapshot->size()
-            << " events indexed in " << snapshot->num_segments()
-            << " segment(s)\n";
-
-  // Day filters resolve against the snapshot's window.
-  if (options.from || options.to) {
-    const double begin =
-        options.from ? static_cast<double>(unix_from_civil(*options.from))
-                     : static_cast<double>(window.start_time());
-    const double end =
-        options.to ? static_cast<double>(unix_from_civil(*options.to) +
-                                         kSecondsPerDay)
-                   : static_cast<double>(window.end_time());
-    options.query.between(begin, end);
-  }
-  if (!print_aggregation(*snapshot, window, options.query, options.agg,
-                         options.k, options.explain)) {
-    std::cerr << "unknown aggregation: " << options.agg << "\n";
-    query_usage(2);
-  }
-  if (!options.metrics_out.empty()) {
-    obs::write_metrics_file(options.metrics_out, obs::MetricsRegistry::global());
-    std::cerr << "[dosmeter] wrote metrics to " << options.metrics_out << "\n";
-  }
+  const QueryOptions options = parse_query_options(argc, argv);
+  const LoadedDataset data(options.dataset);
+  print_aggregation(*data.snapshot(options.build), options.params);
+  write_metrics(options.metrics_out);
   return 0;
 }
 
@@ -606,51 +718,50 @@ struct MetricsOptions {
   std::uint64_t seed = 42;
   std::string format = "table";  // table | json | prom
   std::string out;
-  std::string listen;  // [ADDR:]PORT — keep serving /metrics live
+  std::optional<serve::ServerConfig> listen;  // keep serving /metrics live
 };
 
-[[noreturn]] void metrics_usage(int code) {
-  std::cout <<
-      "dosmeter metrics — pipeline observability view\n"
-      "Runs a small end-to-end workload through every instrumented layer\n"
-      "(telescope flow table, honeypot fleet, parallel workers, streaming\n"
-      "fusion, query engine) and renders the metrics registry.\n"
-      "  --seed N       workload seed (default 42)\n"
-      "  --format F     table | json | prom (default table)\n"
-      "  --out F        also write the registry to F (.prom -> Prometheus)\n"
-      "  --listen [A:]P keep running and serve the registry live at\n"
-      "                 http://A:P/metrics — a passthrough to the query\n"
-      "                 server (`dosmeter serve`), which scrapes the same\n"
-      "                 process-wide registry and adds its own serve.*\n"
-      "                 series (requests, cache, admission drops, latency)\n";
-  std::exit(code);
-}
+constexpr std::string_view kMetricsUsage =
+    "dosmeter metrics — pipeline observability view\n"
+    "Runs a small end-to-end workload through every instrumented layer\n"
+    "(telescope flow table, honeypot fleet, parallel workers, streaming\n"
+    "fusion, query engine) and renders the metrics registry.\n"
+    "  --seed N       workload seed (default 42)\n"
+    "  --format F     table | json | prom (default table)\n"
+    "  --out F        also write the registry to F (.prom -> Prometheus)\n"
+    "  --listen [A:]P keep running and serve the registry live at\n"
+    "                 http://A:P/metrics — a passthrough to the query\n"
+    "                 server (`dosmeter serve`), which scrapes the same\n"
+    "                 process-wide registry and adds its own serve.*\n"
+    "                 series (requests, cache, admission drops, latency)\n";
 
 MetricsOptions parse_metrics_options(int argc, char** argv) {
   MetricsOptions options;
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      metrics_usage(2);
+  Args args(argc, argv, 2, kMetricsUsage);
+  while (args.next()) {
+    if (args.is("--seed")) {
+      options.seed = args.integer<std::uint64_t>(0);
+    } else if (args.is("--format")) {
+      options.format = args.value();
+      if (options.format != "table" && options.format != "json" &&
+          options.format != "prom")
+        args.fail("must be table|json|prom");
+    } else if (args.is("--out")) {
+      options.out = args.value();
+    } else if (args.is("--listen")) {  // [ADDR:]PORT
+      const std::string listen = args.value();
+      const std::size_t colon = listen.rfind(':');
+      options.listen.emplace();
+      if (colon != std::string::npos)
+        options.listen->bind_address = listen.substr(0, colon);
+      // Without a colon, colon + 1 wraps to 0: the whole text is the port.
+      const auto port = parse_number<std::uint16_t>(
+          std::string_view(listen).substr(colon + 1), 0, 65535);
+      if (!port) args.fail("'" + listen + "' is not [ADDR:]PORT");
+      options.listen->port = *port;
+    } else {
+      args.unknown();
     }
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") metrics_usage(0);
-    else if (arg == "--seed") options.seed = std::stoull(need_value(i));
-    else if (arg == "--format") options.format = need_value(i);
-    else if (arg == "--out") options.out = need_value(i);
-    else if (arg == "--listen") options.listen = need_value(i);
-    else {
-      std::cerr << "unknown metrics option: " << arg << "\n";
-      metrics_usage(2);
-    }
-  }
-  if (options.format != "table" && options.format != "json" &&
-      options.format != "prom") {
-    std::cerr << "--format must be table|json|prom\n";
-    metrics_usage(2);
   }
   return options;
 }
@@ -670,13 +781,8 @@ int metrics_main(int argc, char** argv) {
   const auto telescope_events = detector.detect(workload.packets);
   const auto honeypot_events = parallel::parallel_harvest(*workload.fleet, {}, pc);
 
-  std::vector<core::AttackEvent> events;
-  events.reserve(telescope_events.size() + honeypot_events.size());
-  for (const auto& event : telescope_events)
-    events.push_back(core::from_telescope(event));
-  for (const auto& event : honeypot_events)
-    events.push_back(core::from_amppot(event));
-  std::sort(events.begin(), events.end(), core::canonical_less);
+  std::vector<core::AttackEvent> events =
+      fuse(telescope_events, honeypot_events);
 
   // 2. Streaming fusion + serving layer (fusion, serialize, query metrics).
   // Workload timestamps are capture-relative seconds; shift them into the
@@ -741,22 +847,11 @@ int metrics_main(int argc, char** argv) {
       std::cout << hists;
     }
   }
-  if (!options.out.empty()) {
-    obs::write_metrics_file(options.out, obs::MetricsRegistry::global());
-    std::cerr << "[dosmeter] wrote metrics to " << options.out << "\n";
-  }
-  if (!options.listen.empty()) {
-    serve::ServerConfig server_config;
-    const std::size_t colon = options.listen.rfind(':');
-    const std::string port_text = colon == std::string::npos
-                                      ? options.listen
-                                      : options.listen.substr(colon + 1);
-    if (colon != std::string::npos)
-      server_config.bind_address = options.listen.substr(0, colon);
-    server_config.port = static_cast<std::uint16_t>(std::stoul(port_text));
-    const serve::Server server(server_config, engine);
+  write_metrics(options.out);
+  if (options.listen) {
+    const serve::Server server(*options.listen, engine);
     std::cerr << "[dosmeter] serving metrics at http://"
-              << server_config.bind_address << ":" << server.port()
+              << options.listen->bind_address << ":" << server.port()
               << "/metrics (Ctrl-C to stop)\n";
     std::promise<void>().get_future().wait();  // serve until killed
   }
@@ -768,115 +863,67 @@ int metrics_main(int argc, char** argv) {
 // ---------------------------------------------------------------------------
 
 struct ServeOptions {
-  sim::ScenarioConfig scenario;
-  std::string load_events;
+  Dataset dataset;
   serve::ServerConfig server;
-  int threads = 1;
-  int segment_days = 0;
+  BuildFlags build;
   int tick_millis = 100;
 };
 
-[[noreturn]] void serve_usage(int code) {
-  std::cout <<
-      "dosmeter serve — HTTP/JSON query server over the fused event dataset\n"
-      "dataset (pick one):\n"
-      "  --seed/--days/--domains/--direct/--reflection   simulate a world\n"
-      "  --load-events F   serve a binary event dump (dosmeter --save-events)\n"
-      "server:\n"
-      "  --address A       bind address (default 127.0.0.1)\n"
-      "  --port N          TCP port (default 8080; 0 picks an ephemeral\n"
-      "                    port, printed on startup)\n"
-      "  --workers N       worker threads (default 4)\n"
-      "  --queue N         pending-connection capacity; beyond it the\n"
-      "                    acceptor answers 429 (default 64)\n"
-      "  --cache-bytes N   result-cache budget in bytes (default 8 MiB;\n"
-      "                    0 disables caching)\n"
-      "  --max-rows N      per-query row budget -> 422 (default unlimited)\n"
-      "  --max-millis N    per-query time budget -> 422 (default unlimited)\n"
-      "  --threads N       snapshot build threads (default 1)\n"
-      "  --segment-days N  days per snapshot segment (default 0 = one)\n"
-      "subscriptions:\n"
-      "  --tick-millis N   delay between replayed study days on the live\n"
-      "                    alert feed (default 100; 0 replays instantly).\n"
-      "                    The dataset's events stream through the push\n"
-      "                    dispatcher day by day, so /subscribe + /watch\n"
-      "                    clients see a live feed.\n"
-      "endpoints: /  /healthz  /metrics  /query  /subscribe  /watch — see\n"
-      "src/serve/api.h for the /query parameters (same filters as\n"
-      "`dosmeter query`) and src/serve/subscribe_api.h for /subscribe and\n"
-      "/watch.\n";
-  std::exit(code);
-}
+constexpr std::string_view kServeUsage =
+    "dosmeter serve — HTTP/JSON query server over the fused event dataset\n"
+    "dataset (pick one):\n"
+    "  --seed/--days/--domains/--direct/--reflection   simulate a world\n"
+    "  --load-events F   serve a binary event dump (dosmeter --save-events)\n"
+    "server:\n"
+    "  --address A       bind address (default 127.0.0.1)\n"
+    "  --port N          TCP port (default 8080; 0 picks an ephemeral\n"
+    "                    port, printed on startup)\n"
+    "  --workers N       worker threads (default 4)\n"
+    "  --queue N         pending-connection capacity; beyond it the\n"
+    "                    acceptor answers 429 (default 64)\n"
+    "  --cache-bytes N   result-cache budget in bytes (default 8 MiB;\n"
+    "                    0 disables caching)\n"
+    "  --max-rows N      per-query row budget -> 422 (default unlimited)\n"
+    "  --max-millis N    per-query time budget -> 422 (default unlimited)\n"
+    "  --threads N       snapshot build threads (default 1)\n"
+    "  --segment-days N  days per snapshot segment (default 0 = one)\n"
+    "subscriptions:\n"
+    "  --tick-millis N   delay between replayed study days on the live\n"
+    "                    alert feed (default 100; 0 replays instantly).\n"
+    "                    The dataset's events stream through the push\n"
+    "                    dispatcher day by day, so /subscribe + /watch\n"
+    "                    clients see a live feed.\n"
+    "endpoints: /  /healthz  /metrics  /query  /subscribe  /watch — see\n"
+    "src/serve/api.h for the /query parameters (same filters as\n"
+    "`dosmeter query`) and src/serve/subscribe_api.h for /subscribe and\n"
+    "/watch.\n";
 
 ServeOptions parse_serve_options(int argc, char** argv) {
   ServeOptions options;
   options.server.port = 8080;
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      serve_usage(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") serve_usage(0);
-    else if (arg == "--seed") options.scenario.seed = std::stoull(need_value(i));
-    else if (arg == "--days") {
-      const int days = std::stoi(need_value(i));
-      if (days < 2) {
-        std::cerr << "--days must be >= 2\n";
-        serve_usage(2);
-      }
-      options.scenario.window.end = civil_from_days(
-          days_from_civil(options.scenario.window.start) + days - 1);
-    } else if (arg == "--domains") {
-      options.scenario.hosting.num_domains = std::stoi(need_value(i));
-    } else if (arg == "--direct") {
-      options.scenario.attacker.direct_per_day = std::stod(need_value(i));
-    } else if (arg == "--reflection") {
-      options.scenario.attacker.reflection_per_day = std::stod(need_value(i));
-    } else if (arg == "--load-events") {
-      options.load_events = need_value(i);
-    } else if (arg == "--address") {
-      options.server.bind_address = need_value(i);
-    } else if (arg == "--port") {
-      options.server.port = static_cast<std::uint16_t>(std::stoul(need_value(i)));
-    } else if (arg == "--workers") {
-      options.server.workers = std::stoul(need_value(i));
-      if (options.server.workers == 0) {
-        std::cerr << "--workers must be >= 1\n";
-        serve_usage(2);
-      }
-    } else if (arg == "--queue") {
-      options.server.queue_capacity = std::stoul(need_value(i));
-    } else if (arg == "--cache-bytes") {
-      options.server.cache_bytes = std::stoul(need_value(i));
-    } else if (arg == "--max-rows") {
-      options.server.max_rows = std::stoull(need_value(i));
-    } else if (arg == "--max-millis") {
-      options.server.max_millis = std::stoull(need_value(i));
-    } else if (arg == "--threads") {
-      options.threads = std::stoi(need_value(i));
-      if (options.threads < 1) {
-        std::cerr << "--threads must be >= 1\n";
-        serve_usage(2);
-      }
-    } else if (arg == "--segment-days") {
-      options.segment_days = std::stoi(need_value(i));
-      if (options.segment_days < 0) {
-        std::cerr << "--segment-days must be >= 0\n";
-        serve_usage(2);
-      }
-    } else if (arg == "--tick-millis") {
-      options.tick_millis = std::stoi(need_value(i));
-      if (options.tick_millis < 0) {
-        std::cerr << "--tick-millis must be >= 0\n";
-        serve_usage(2);
-      }
+  Args args(argc, argv, 2, kServeUsage);
+  while (args.next()) {
+    if (dataset_flag(args, options.dataset) ||
+        build_flag(args, options.build))
+      continue;
+    if (args.is("--address")) {
+      options.server.bind_address = args.value();
+    } else if (args.is("--port")) {
+      options.server.port = args.integer<std::uint16_t>(0);
+    } else if (args.is("--workers")) {
+      options.server.workers = args.integer<std::size_t>(1, kMaxThreads);
+    } else if (args.is("--queue")) {
+      options.server.queue_capacity = args.integer<std::size_t>(0);
+    } else if (args.is("--cache-bytes")) {
+      options.server.cache_bytes = args.integer<std::size_t>(0);
+    } else if (args.is("--max-rows")) {
+      options.server.max_rows = args.integer<std::uint64_t>(0);
+    } else if (args.is("--max-millis")) {
+      options.server.max_millis = args.integer<std::uint64_t>(0);
+    } else if (args.is("--tick-millis")) {
+      options.tick_millis = args.integer(0);
     } else {
-      std::cerr << "unknown serve option: " << arg << "\n";
-      serve_usage(2);
+      args.unknown();
     }
   }
   return options;
@@ -884,50 +931,11 @@ ServeOptions parse_serve_options(int argc, char** argv) {
 
 int serve_main(int argc, char** argv) {
   const ServeOptions options = parse_serve_options(argc, argv);
-
-  // Materialize the snapshot the same way `dosmeter query` does, keeping
-  // the event list around for the live subscription replay below.
-  std::shared_ptr<const query::Snapshot> snapshot;
-  const StudyWindow window = options.scenario.window;
-  const meta::PrefixToAsMap empty_pfx2as;
-  const meta::GeoDatabase empty_geo;
-  std::unique_ptr<sim::World> world;
-  std::vector<core::AttackEvent> events;
-  if (!options.load_events.empty()) {
-    events = core::load_events(options.load_events);
-    std::cerr << "[dosmeter] loaded " << events.size() << " events from "
-              << options.load_events << "\n";
-    snapshot = query::Snapshot::build(
-        window, events,
-        query::BuildContext{empty_pfx2as, empty_geo, options.threads,
-                            options.segment_days},
-        /*version=*/1);
-  } else {
-    std::cerr << "[dosmeter] building " << window.num_days()
-              << "-day world (seed " << options.scenario.seed << ")...\n";
-    world = sim::build_world(options.scenario);
-    events.assign(world->store.events().begin(), world->store.events().end());
-    snapshot = query::Snapshot::from_store(
-        world->store,
-        query::BuildContext{world->population.pfx2as(),
-                            world->population.geo(), options.threads,
-                            options.segment_days},
-        /*version=*/1);
-  }
-  std::cerr << "[dosmeter] snapshot ready: " << snapshot->size()
-            << " events indexed in " << snapshot->num_segments()
-            << " segment(s)\n";
-
+  const LoadedDataset data(options.dataset);
   query::QueryEngine engine;
-  engine.publish(std::move(snapshot));
+  engine.publish(data.snapshot(options.build, /*version=*/1));
 
-  subscribe::DispatcherConfig dispatcher_config;
-  dispatcher_config.window = window;
-  if (world != nullptr) {
-    dispatcher_config.pfx2as = &world->population.pfx2as();
-    dispatcher_config.geo = &world->population.geo();
-  }
-  subscribe::Dispatcher dispatcher(dispatcher_config);
+  subscribe::Dispatcher dispatcher(data.dispatcher_config());
   const serve::Server server(options.server, engine, &dispatcher);
   std::cerr << "[dosmeter] serving at http://" << options.server.bind_address
             << ":" << server.port() << "/query (" << options.server.workers
@@ -935,24 +943,11 @@ int serve_main(int argc, char** argv) {
             << ", cache " << options.server.cache_bytes
             << " bytes; Ctrl-C to stop)\n";
 
-  // Live feed: replay the dataset through the dispatcher day by day so
-  // /subscribe + /watch clients get a stream instead of a fait accompli.
-  std::thread replay([&options, &dispatcher, &events, window] {
-    std::sort(events.begin(), events.end(), core::canonical_less);
-    int open_day = -1;
-    for (const auto& event : events) {
-      const auto t = static_cast<UnixSeconds>(event.start);
-      const int day = window.contains(t) ? window.day_of(t) : -1;
-      if (day != open_day && open_day != -1) {
-        dispatcher.tick();
-        if (options.tick_millis > 0)
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(options.tick_millis));
-      }
-      open_day = day;
-      dispatcher.ingest(event);
-    }
-    dispatcher.tick();
+  // Live feed: replay the dataset day by day so /subscribe + /watch
+  // clients get a stream instead of a fait accompli.
+  std::thread replay([&options, &data, &dispatcher] {
+    replay_days(data.events(), data.window(), dispatcher,
+                std::chrono::milliseconds(options.tick_millis));
     std::cerr << "[dosmeter] replay complete: "
               << dispatcher.events_ingested()
               << " events dispatched to subscribers\n";
@@ -967,135 +962,64 @@ int serve_main(int argc, char** argv) {
 // ---------------------------------------------------------------------------
 
 struct WatchOptions {
-  sim::ScenarioConfig scenario;
-  std::string load_events;
-  subscribe::Predicate predicate;
+  Dataset dataset;
+  serve::Params params;  // /subscribe predicate parameters
   std::size_t max = 50;
 };
 
-[[noreturn]] void watch_usage(int code) {
-  std::cout <<
-      "dosmeter watch — replay a dataset through the subscription layer\n"
-      "Registers one subscription, replays the dataset's events through the\n"
-      "push dispatcher (one tick per study day, streaming-fusion spike\n"
-      "alerts included), and prints the notifications a live watcher would\n"
-      "have received. The same predicate fields drive the query server's\n"
-      "/subscribe + /watch endpoints (`dosmeter serve`).\n"
-      "dataset (pick one):\n"
-      "  --seed/--days/--domains/--direct/--reflection   simulate a world\n"
-      "  --load-events F   replay a binary event dump (dosmeter\n"
-      "                    --save-events); ASN/country resolve only with a\n"
-      "                    simulated world, so those filters match nothing\n"
-      "                    on a dump\n"
-      "predicate (ANDed; none = firehose):\n"
-      "  --prefix A.B.C.D/L  victim inside the CIDR prefix\n"
-      "  --asn N             victim's origin AS\n"
-      "  --country CC        victim's geolocated country\n"
-      "  --proto N           IP protocol of the attack (6=TCP, 17=UDP)\n"
-      "  --kind K            new-attack | attack-spike | target-spike\n"
-      "output:\n"
-      "  --max N             notifications to print (default 50; 0 = all)\n";
-  std::exit(code);
-}
+constexpr std::string_view kWatchUsage =
+    "dosmeter watch — replay a dataset through the subscription layer\n"
+    "Registers one subscription, replays the dataset's events through the\n"
+    "push dispatcher (one tick per study day, streaming-fusion spike\n"
+    "alerts included), and prints the notifications a live watcher would\n"
+    "have received. The same predicate fields drive the query server's\n"
+    "/subscribe + /watch endpoints (`dosmeter serve`).\n"
+    "dataset (pick one):\n"
+    "  --seed/--days/--domains/--direct/--reflection   simulate a world\n"
+    "  --load-events F   replay a binary event dump (dosmeter\n"
+    "                    --save-events); ASN/country resolve only with a\n"
+    "                    simulated world, so those filters match nothing\n"
+    "                    on a dump\n"
+    "predicate (ANDed; none = firehose):\n"
+    "  --prefix A.B.C.D/L  victim inside the CIDR prefix\n"
+    "  --asn N             victim's origin AS\n"
+    "  --country CC        victim's geolocated country\n"
+    "  --proto N           IP protocol of the attack (6=TCP, 17=UDP)\n"
+    "  --kind K            new-attack | attack-spike | target-spike\n"
+    "output:\n"
+    "  --max N             notifications to print (default 50; 0 = all)\n";
+
+/// `dosmeter watch` flags and the /subscribe parameters they set.
+constexpr std::pair<std::string_view, std::string_view> kWatchFlags[] = {
+    {"--prefix", "prefix"}, {"--asn", "asn"},   {"--country", "country"},
+    {"--proto", "proto"},   {"--kind", "kind"}};
 
 WatchOptions parse_watch_options(int argc, char** argv) {
   WatchOptions options;
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      watch_usage(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") watch_usage(0);
-    else if (arg == "--seed") options.scenario.seed = std::stoull(need_value(i));
-    else if (arg == "--days") {
-      const int days = std::stoi(need_value(i));
-      if (days < 2) {
-        std::cerr << "--days must be >= 2\n";
-        watch_usage(2);
-      }
-      options.scenario.window.end = civil_from_days(
-          days_from_civil(options.scenario.window.start) + days - 1);
-    } else if (arg == "--domains") {
-      options.scenario.hosting.num_domains = std::stoi(need_value(i));
-    } else if (arg == "--direct") {
-      options.scenario.attacker.direct_per_day = std::stod(need_value(i));
-    } else if (arg == "--reflection") {
-      options.scenario.attacker.reflection_per_day = std::stod(need_value(i));
-    } else if (arg == "--load-events") {
-      options.load_events = need_value(i);
-    } else if (arg == "--prefix") {
-      options.predicate.match_prefix(net::Prefix::parse(need_value(i)));
-    } else if (arg == "--asn") {
-      options.predicate.match_asn(
-          static_cast<meta::Asn>(std::stoul(need_value(i))));
-    } else if (arg == "--country") {
-      options.predicate.match_country(meta::CountryCode(need_value(i)));
-    } else if (arg == "--proto") {
-      options.predicate.match_proto(
-          static_cast<std::uint8_t>(std::stoi(need_value(i))));
-    } else if (arg == "--kind") {
-      const std::string name = need_value(i);
-      const auto kind = core::parse_alert_kind(name);
-      if (!kind) {
-        std::cerr << "--kind must be new-attack|attack-spike|target-spike\n";
-        watch_usage(2);
-      }
-      options.predicate.match_kind(*kind);
-    } else if (arg == "--max") {
-      options.max = static_cast<std::size_t>(std::stoul(need_value(i)));
-    } else {
-      std::cerr << "unknown watch option: " << arg << "\n";
-      watch_usage(2);
-    }
+  Args args(argc, argv, 2, kWatchUsage);
+  while (args.next()) {
+    if (dataset_flag(args, options.dataset) ||
+        args.param(kWatchFlags, serve::parse_predicate_params, options.params))
+      continue;
+    if (args.is("--max"))
+      options.max = args.integer<std::size_t>(0);
+    else
+      args.unknown();
   }
   return options;
 }
 
 int watch_main(int argc, char** argv) {
   const WatchOptions options = parse_watch_options(argc, argv);
+  const serve::ApiCall call = serve::parse_predicate_params(options.params);
+  if (!call.error.empty()) throw std::invalid_argument(call.error);
 
-  std::vector<core::AttackEvent> events;
-  subscribe::DispatcherConfig config;
-  config.window = options.scenario.window;
-  std::unique_ptr<sim::World> world;
-  if (!options.load_events.empty()) {
-    events = core::load_events(options.load_events);
-    std::cerr << "[dosmeter] loaded " << events.size() << " events from "
-              << options.load_events << "\n";
-  } else {
-    std::cerr << "[dosmeter] building " << config.window.num_days()
-              << "-day world (seed " << options.scenario.seed << ")...\n";
-    world = sim::build_world(options.scenario);
-    events.assign(world->store.events().begin(), world->store.events().end());
-    config.pfx2as = &world->population.pfx2as();
-    config.geo = &world->population.geo();
-  }
-  std::sort(events.begin(), events.end(), core::canonical_less);
-
-  subscribe::Dispatcher dispatcher(config);
-  const subscribe::SubscriptionId id = dispatcher.subscribe(options.predicate);
-  std::cerr << "[dosmeter] watching " << options.predicate.to_string()
-            << " over " << events.size() << " events\n";
-
-  // The dispatcher doubles as the fusion's alert sink, so day-level spike
-  // alerts dispatch alongside the per-event kNewAttack alerts.
-  core::StreamingFusion fusion(config.window, {},
-                               [](const core::DaySummary&) {}, &dispatcher);
-  int open_day = -1;
-  for (const auto& event : events) {
-    const auto t = static_cast<UnixSeconds>(event.start);
-    const int day = config.window.contains(t) ? config.window.day_of(t) : -1;
-    if (day != open_day && open_day != -1) dispatcher.tick();
-    open_day = day;
-    fusion.ingest(event);
-    dispatcher.ingest(event);
-  }
-  fusion.finish();
-  dispatcher.tick();
+  const LoadedDataset data(options.dataset);
+  subscribe::Dispatcher dispatcher(data.dispatcher_config());
+  const subscribe::SubscriptionId id = dispatcher.subscribe(call.predicate);
+  std::cerr << "[dosmeter] watching " << call.predicate.to_string()
+            << " over " << data.events().size() << " events\n";
+  replay_days(data.events(), data.window(), dispatcher);
 
   const auto result = dispatcher.fetch(id, 0, options.max);
   if (!result) {
@@ -1139,169 +1063,71 @@ struct ArchiveOptions {
   std::string mode;  // save | load
   std::string file;
   // save:
-  sim::ScenarioConfig scenario;
-  std::string load_events;
-  int threads = 1;
-  int segment_days = 7;
+  Dataset dataset;
+  BuildFlags build{.segment_days = 7};
   // load:
   int hot_days = 0;
   std::size_t cache_bytes = 64u << 20;
-  query::Query query;
-  std::optional<CivilDate> from;
-  std::optional<CivilDate> to;
-  std::string agg = "summary";
-  std::size_t k = 10;
-  bool explain = false;
+  serve::Params params;  // /query parameters
   std::string metrics_out;
 };
 
-[[noreturn]] void archive_usage(int code) {
-  std::cout <<
-      "dosmeter archive — compressed on-disk segment archives (src/storage)\n"
-      "  dosmeter archive save --file F [dataset] [--threads N]\n"
-      "                        [--segment-days N (default 7)]\n"
-      "    seals the dataset's snapshot segments into archive F and prints\n"
-      "    the compression ratio vs the raw in-memory columns.\n"
-      "    dataset: --seed/--days/--domains/--direct/--reflection to\n"
-      "    simulate a world, or --load-events F for a binary event dump.\n"
-      "  dosmeter archive load --file F [--hot-days N] [--cache-bytes N]\n"
-      "                        [filters] [--agg A] [--k N] [--explain]\n"
-      "                        [--metrics-out F]\n"
-      "    opens F as a tiered snapshot — the trailing --hot-days stay\n"
-      "    resident, everything older decodes on demand through an LRU\n"
-      "    cache of --cache-bytes (0 = no cache) — and runs one query.\n"
-      "    Filters and aggregations are those of `dosmeter query`; results\n"
-      "    are byte-identical to querying the archived dataset in memory,\n"
-      "    for any --hot-days / --cache-bytes.\n";
-  std::exit(code);
-}
+constexpr std::string_view kArchiveUsage =
+    "dosmeter archive — compressed on-disk segment archives (src/storage)\n"
+    "  dosmeter archive save --file F [dataset] [--threads N]\n"
+    "                        [--segment-days N (default 7)]\n"
+    "    seals the dataset's snapshot segments into archive F and prints\n"
+    "    the compression ratio vs the raw in-memory columns.\n"
+    "    dataset: --seed/--days/--domains/--direct/--reflection to\n"
+    "    simulate a world, or --load-events F for a binary event dump.\n"
+    "  dosmeter archive load --file F [--hot-days N] [--cache-bytes N]\n"
+    "                        [filters] [--agg A] [--k N] [--explain]\n"
+    "                        [--metrics-out F]\n"
+    "    opens F as a tiered snapshot — the trailing --hot-days stay\n"
+    "    resident, everything older decodes on demand through an LRU\n"
+    "    cache of --cache-bytes (0 = no cache) — and runs one query.\n"
+    "    Filters and aggregations are those of `dosmeter query`; results\n"
+    "    are byte-identical to querying the archived dataset in memory,\n"
+    "    for any --hot-days / --cache-bytes.\n";
 
 ArchiveOptions parse_archive_options(int argc, char** argv) {
   ArchiveOptions options;
-  if (argc < 3) archive_usage(2);
+  Args args(argc, argv, 3, kArchiveUsage);
+  if (argc < 3) args.usage(2);
   options.mode = argv[2];
-  if (options.mode == "--help" || options.mode == "-h") archive_usage(0);
+  if (options.mode == "--help" || options.mode == "-h") args.usage(0);
   if (options.mode != "save" && options.mode != "load") {
     std::cerr << "archive mode must be save|load\n";
-    archive_usage(2);
+    args.usage(2);
   }
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      archive_usage(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") archive_usage(0);
-    else if (arg == "--file") options.file = need_value(i);
-    else if (arg == "--seed") options.scenario.seed = std::stoull(need_value(i));
-    else if (arg == "--days") {
-      const int days = std::stoi(need_value(i));
-      if (days < 2) {
-        std::cerr << "--days must be >= 2\n";
-        archive_usage(2);
-      }
-      options.scenario.window.end = civil_from_days(
-          days_from_civil(options.scenario.window.start) + days - 1);
-    } else if (arg == "--domains") {
-      options.scenario.hosting.num_domains = std::stoi(need_value(i));
-    } else if (arg == "--direct") {
-      options.scenario.attacker.direct_per_day = std::stod(need_value(i));
-    } else if (arg == "--reflection") {
-      options.scenario.attacker.reflection_per_day = std::stod(need_value(i));
-    } else if (arg == "--load-events") {
-      options.load_events = need_value(i);
-    } else if (arg == "--threads") {
-      options.threads = std::stoi(need_value(i));
-      if (options.threads < 1) {
-        std::cerr << "--threads must be >= 1\n";
-        archive_usage(2);
-      }
-    } else if (arg == "--segment-days") {
-      options.segment_days = std::stoi(need_value(i));
-      if (options.segment_days < 0) {
-        std::cerr << "--segment-days must be >= 0\n";
-        archive_usage(2);
-      }
-    } else if (arg == "--hot-days") {
-      options.hot_days = std::stoi(need_value(i));
-    } else if (arg == "--cache-bytes") {
-      options.cache_bytes = std::stoul(need_value(i));
-    } else if (arg == "--from") {
-      options.from = parse_civil(need_value(i));
-    } else if (arg == "--to") {
-      options.to = parse_civil(need_value(i));
-    } else if (arg == "--source") {
-      const std::string value = need_value(i);
-      if (value == "telescope")
-        options.query.from_source(core::SourceFilter::kTelescope);
-      else if (value == "honeypot")
-        options.query.from_source(core::SourceFilter::kHoneypot);
-      else if (value == "combined")
-        options.query.from_source(core::SourceFilter::kCombined);
-      else {
-        std::cerr << "--source must be telescope|honeypot|combined\n";
-        archive_usage(2);
-      }
-    } else if (arg == "--prefix") {
-      options.query.in_prefix(net::Prefix::parse(need_value(i)));
-    } else if (arg == "--asn") {
-      options.query.in_asn(static_cast<meta::Asn>(std::stoul(need_value(i))));
-    } else if (arg == "--country") {
-      options.query.in_country(meta::CountryCode(need_value(i)));
-    } else if (arg == "--port") {
-      options.query.on_port(static_cast<std::uint16_t>(std::stoi(need_value(i))));
-    } else if (arg == "--min-intensity") {
-      options.query.at_least(std::stod(need_value(i)));
-    } else if (arg == "--agg") {
-      options.agg = need_value(i);
-    } else if (arg == "--k") {
-      options.k = static_cast<std::size_t>(std::stoul(need_value(i)));
-    } else if (arg == "--explain") {
-      options.explain = true;
-    } else if (arg == "--metrics-out") {
-      options.metrics_out = need_value(i);
-    } else {
-      std::cerr << "unknown archive option: " << arg << "\n";
-      archive_usage(2);
-    }
+  while (args.next()) {
+    if (dataset_flag(args, options.dataset) ||
+        query_flag(args, options.params) || build_flag(args, options.build))
+      continue;
+    if (args.is("--file"))
+      options.file = args.value();
+    else if (args.is("--hot-days"))
+      options.hot_days = args.integer(0);
+    else if (args.is("--cache-bytes"))
+      options.cache_bytes = args.integer<std::size_t>(0);
+    else if (args.is("--metrics-out"))
+      options.metrics_out = args.value();
+    else
+      args.unknown();
   }
   if (options.file.empty()) {
     std::cerr << "archive " << options.mode << " needs --file\n";
-    archive_usage(2);
+    args.usage(2);
   }
   return options;
 }
 
 int archive_main(int argc, char** argv) {
-  ArchiveOptions options = parse_archive_options(argc, argv);
-  const meta::PrefixToAsMap empty_pfx2as;
-  const meta::GeoDatabase empty_geo;
+  const ArchiveOptions options = parse_archive_options(argc, argv);
 
   if (options.mode == "save") {
-    // Same dataset paths as `dosmeter query`, then one write_archive call.
-    std::shared_ptr<const query::Snapshot> snapshot;
-    std::unique_ptr<sim::World> world;
-    if (!options.load_events.empty()) {
-      const auto events = core::load_events(options.load_events);
-      std::cerr << "[dosmeter] loaded " << events.size() << " events from "
-                << options.load_events << "\n";
-      snapshot = query::Snapshot::build(
-          options.scenario.window, events,
-          query::BuildContext{empty_pfx2as, empty_geo, options.threads,
-                              options.segment_days});
-    } else {
-      std::cerr << "[dosmeter] building " << options.scenario.window.num_days()
-                << "-day world (seed " << options.scenario.seed << ")...\n";
-      world = sim::build_world(options.scenario);
-      snapshot = query::Snapshot::from_store(
-          world->store,
-          query::BuildContext{world->population.pfx2as(),
-                              world->population.geo(), options.threads,
-                              options.segment_days});
-    }
+    const LoadedDataset data(options.dataset);
+    const auto snapshot = data.snapshot(options.build);
     const std::uint64_t archive_bytes =
         storage::write_archive(options.file, *snapshot);
     const std::uint64_t raw_bytes = snapshot->size() * 42;  // SoA bytes/row
@@ -1318,51 +1144,30 @@ int archive_main(int argc, char** argv) {
   }
 
   // load: open tiered, run one query through the hot/cold machinery.
+  const meta::PrefixToAsMap empty_pfx2as;
+  const meta::GeoDatabase empty_geo;
   query::BuildContext ctx{empty_pfx2as, empty_geo};
   ctx.hot_days = options.hot_days;
   ctx.cold_cache_bytes = options.cache_bytes;
   const auto snapshot = storage::open_tiered(options.file, ctx, /*version=*/1);
-  const StudyWindow window = snapshot->window();
   std::cerr << "[dosmeter] opened " << options.file << ": " << snapshot->size()
             << " events in " << snapshot->num_segments() << " segment(s), "
             << (snapshot->fully_resident() ? "all hot" : "tiered") << "\n";
-
-  if (options.from || options.to) {
-    const double begin =
-        options.from ? static_cast<double>(unix_from_civil(*options.from))
-                     : static_cast<double>(window.start_time());
-    const double end =
-        options.to ? static_cast<double>(unix_from_civil(*options.to) +
-                                         kSecondsPerDay)
-                   : static_cast<double>(window.end_time());
-    options.query.between(begin, end);
-  }
-  if (!print_aggregation(*snapshot, window, options.query, options.agg,
-                         options.k, options.explain)) {
-    std::cerr << "unknown aggregation: " << options.agg << "\n";
-    archive_usage(2);
-  }
-  if (!options.metrics_out.empty()) {
-    obs::write_metrics_file(options.metrics_out, obs::MetricsRegistry::global());
-    std::cerr << "[dosmeter] wrote metrics to " << options.metrics_out << "\n";
-  }
+  print_aggregation(*snapshot, options.params);
+  write_metrics(options.metrics_out);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) try {
-  if (argc > 1 && std::string(argv[1]) == "query") return query_main(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "detect")
-    return detect_main(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "metrics")
-    return metrics_main(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "serve")
-    return serve_main(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "watch")
-    return watch_main(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "archive")
-    return archive_main(argc, argv);
+  const std::string command = argc > 1 ? argv[1] : "";
+  if (command == "query") return query_main(argc, argv);
+  if (command == "detect") return detect_main(argc, argv);
+  if (command == "metrics") return metrics_main(argc, argv);
+  if (command == "serve") return serve_main(argc, argv);
+  if (command == "watch") return watch_main(argc, argv);
+  if (command == "archive") return archive_main(argc, argv);
   const Options options = parse_options(argc, argv);
   const auto& config = options.scenario;
 
@@ -1417,13 +1222,7 @@ int main(int argc, char** argv) try {
               << "\n";
   }
 
-  if (!options.save_events.empty()) {
-    std::vector<core::AttackEvent> events(world->store.events().begin(),
-                                          world->store.events().end());
-    core::save_events(options.save_events, events);
-    std::cerr << "[dosmeter] wrote " << events.size() << " events to "
-              << options.save_events << "\n";
-  }
+  write_events(options.save_events, world->store.events());
 
   if (!options.out_dir.empty()) {
     const std::filesystem::path dir(options.out_dir);
