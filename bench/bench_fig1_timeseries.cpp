@@ -5,33 +5,38 @@
 
 namespace {
 
-void print_panel(const dosm::core::EventStore& store,
-                 dosm::core::SourceFilter filter,
-                 const dosm::meta::PrefixToAsMap& pfx2as, double paper_daily) {
+using Daily = std::vector<dosm::query::DatasetSummary>;
+
+Daily print_panel(dosm::core::SourceFilter filter, double paper_daily) {
   using namespace dosm;
-  const auto breakdown = store.daily_breakdown(filter, pfx2as);
+  const auto& snapshot = bench::shared_snapshot();
+  const Daily daily =
+      query::summarize_daily(snapshot, query::Query{}.from_source(filter));
+  const int num_days = static_cast<int>(daily.size());
+  double total_attacks = 0;
+  for (const auto& day : daily) total_attacks += double(day.events);
   std::cout << "\n-- " << core::to_string(filter) << " --\n";
-  std::cout << "daily avg attacks: " << fixed(breakdown.attacks.daily_mean(), 1)
+  std::cout << "daily avg attacks: " << fixed(total_attacks / num_days, 1)
             << " (paper: " << human_count(paper_daily, 1) << "/day at full "
             << "scale)\n";
 
   TextTable table({"month", "attacks/day", "targets/day", "/16s/day",
                    "ASNs/day"});
-  const auto& window = store.window();
+  const auto& window = snapshot.window();
   int month_start = 0;
   CivilDate current = window.date_of_day(0);
-  for (int d = 0; d <= breakdown.attacks.num_days(); ++d) {
-    const CivilDate date = d < breakdown.attacks.num_days()
-                               ? window.date_of_day(d)
-                               : CivilDate{9999, 1, 1};
+  for (int d = 0; d <= num_days; ++d) {
+    const CivilDate date =
+        d < num_days ? window.date_of_day(d) : CivilDate{9999, 1, 1};
     if (date.year != current.year || date.month != current.month) {
       const int days = d - month_start;
       double attacks = 0, targets = 0, s16 = 0, asns = 0;
       for (int i = month_start; i < d; ++i) {
-        attacks += breakdown.attacks.at(i);
-        targets += breakdown.unique_targets.at(i);
-        s16 += breakdown.targeted_slash16.at(i);
-        asns += breakdown.targeted_asns.at(i);
+        const auto& day = daily[static_cast<std::size_t>(i)];
+        attacks += double(day.events);
+        targets += double(day.unique_targets);
+        s16 += double(day.unique_slash16);
+        asns += double(day.unique_asns);
       }
       char label[16];
       std::snprintf(label, sizeof(label), "%04d-%02u", current.year,
@@ -43,6 +48,7 @@ void print_panel(const dosm::core::EventStore& store,
     }
   }
   std::cout << table;
+  return daily;
 }
 
 }  // namespace
@@ -54,27 +60,18 @@ int main() {
       "telescope avg 17.1k/day; honeypot avg 11.6k/day; combined 28.7k/day; "
       "targets spread over thousands of ASNs daily");
 
-  const auto& world = bench::shared_world();
-  const auto& pfx2as = world.population.pfx2as();
-  print_panel(world.store, core::SourceFilter::kTelescope, pfx2as, 17.1e3);
-  print_panel(world.store, core::SourceFilter::kHoneypot, pfx2as, 11.6e3);
-  print_panel(world.store, core::SourceFilter::kCombined, pfx2as, 28.7e3);
+  const Daily telescope = print_panel(core::SourceFilter::kTelescope, 17.1e3);
+  const Daily honeypot = print_panel(core::SourceFilter::kHoneypot, 11.6e3);
+  const Daily combined = print_panel(core::SourceFilter::kCombined, 28.7e3);
 
   // Shape: combined daily targets < sum of per-source targets (same-day
   // co-targeting, the paper's note under Figure 1).
-  const auto combined =
-      world.store.daily_breakdown(core::SourceFilter::kCombined, pfx2as);
-  const auto telescope =
-      world.store.daily_breakdown(core::SourceFilter::kTelescope, pfx2as);
-  const auto honeypot =
-      world.store.daily_breakdown(core::SourceFilter::kHoneypot, pfx2as);
   int subadditive_days = 0, days_with_both = 0;
-  for (int d = 0; d < combined.attacks.num_days(); ++d) {
-    if (telescope.unique_targets.at(d) > 0 && honeypot.unique_targets.at(d) > 0) {
+  for (std::size_t d = 0; d < combined.size(); ++d) {
+    const auto t = telescope[d].unique_targets, h = honeypot[d].unique_targets;
+    if (t > 0 && h > 0) {
       ++days_with_both;
-      if (combined.unique_targets.at(d) <
-          telescope.unique_targets.at(d) + honeypot.unique_targets.at(d))
-        ++subadditive_days;
+      if (combined[d].unique_targets < t + h) ++subadditive_days;
     }
   }
   std::cout << "\nDays where combined targets < telescope+honeypot targets: "

@@ -9,9 +9,11 @@ int main() {
       "~70% of attacks <= ~2 pps at the telescope (512 pps at victim); ~17% "
       "> 10 pps; mean 107, median 1");
 
-  const auto& world = bench::shared_world();
-  const auto dist =
-      world.store.intensity_distribution(core::SourceFilter::kTelescope);
+  const auto& snapshot = bench::shared_snapshot();
+  EmpiricalDistribution dist;
+  for (const auto row : snapshot.match_rows(
+           query::Query{}.from_source(core::SourceFilter::kTelescope)))
+    dist.add(snapshot.intensity_at(row));
 
   TextTable table({"pps (max, at telescope)", "x256 at victim", "CDF"});
   for (const double x : {0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1000.0, 10000.0, 100000.0}) {

@@ -1,5 +1,7 @@
 // Figure 4 — intensity distribution of honeypot events (average requests/sec
 // to one reflector), overall and per top-five reflection protocol.
+#include <map>
+
 #include "bench_common.h"
 
 int main() {

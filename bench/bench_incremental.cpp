@@ -155,26 +155,29 @@ int run(int argc, char** argv) {
             << " ms (mean over " << rebuild_s.size() << " sampled boundaries)\n"
             << "steady-state speedup: " << fixed(speedup, 1) << "x\n";
 
-  bench::JsonValue root;
-  root.set("bench", "incremental")
-      .set("smoke", smoke)
-      .set("events", static_cast<std::uint64_t>(events.size()))
-      .set("days", static_cast<std::uint64_t>(world->window.num_days()))
-      .set("seed", static_cast<std::uint64_t>(config.seed))
-      .set("publishes", static_cast<std::uint64_t>(publish_s.size() + 1))
-      .set("replay_s", replay_s)
-      .set("segmented",
-           bench::JsonValue()
-               .set("steady_publish_ms", incremental_steady_s * 1e3)
-               .set("max_publish_ms",
-                    *std::max_element(publish_s.begin(), publish_s.end()) * 1e3))
-      .set("full_rebuild",
-           bench::JsonValue()
-               .set("steady_publish_ms", rebuild_steady_s * 1e3)
-               .set("sampled_boundaries",
-                    static_cast<std::uint64_t>(rebuild_s.size())))
-      .set("steady_state_speedup", speedup);
-  bench::write_json(out_path, root);
+  JsonWriter json;
+  json.begin_object()
+      .key("bench").value("incremental")
+      .key("smoke").value(smoke)
+      .key("events").value(static_cast<std::uint64_t>(events.size()))
+      .key("days").value(static_cast<std::uint64_t>(world->window.num_days()))
+      .key("seed").value(static_cast<std::uint64_t>(config.seed))
+      .key("publishes")
+      .value(static_cast<std::uint64_t>(publish_s.size() + 1))
+      .key("replay_s").value(replay_s)
+      .key("segmented").begin_object()
+      .key("steady_publish_ms").value(incremental_steady_s * 1e3)
+      .key("max_publish_ms")
+      .value(*std::max_element(publish_s.begin(), publish_s.end()) * 1e3)
+      .end_object()
+      .key("full_rebuild").begin_object()
+      .key("steady_publish_ms").value(rebuild_steady_s * 1e3)
+      .key("sampled_boundaries")
+      .value(static_cast<std::uint64_t>(rebuild_s.size()))
+      .end_object()
+      .key("steady_state_speedup").value(speedup)
+      .end_object();
+  bench::write_json(out_path, json);
 
   if (!smoke && speedup < 10.0) {
     std::cerr << "bench_incremental: steady-state speedup " << fixed(speedup, 1)

@@ -199,24 +199,27 @@ int run(int argc, char** argv) {
   const bool gate_applies = !smoke && hardware >= 2;
   std::cout << "hardware threads: " << hardware
             << (gate_applies ? "" : " (speedup gate skipped)") << "\n";
-  bench::JsonValue root;
-  root.set("bench", "ingest")
-      .set("smoke", smoke)
-      .set("seed", static_cast<std::uint64_t>(config.seed))
-      .set("packets", static_cast<std::uint64_t>(reference.size()))
-      .set("pcap_bytes", static_cast<std::uint64_t>(pcap.size()))
-      .set("batch_frames", static_cast<std::uint64_t>(timed.batch_frames))
-      .set("ring_capacity", static_cast<std::uint64_t>(timed.ring_capacity))
-      .set("sequential_pps", seq_pps)
-      .set("batched_pps", batched_pps)
-      .set("speedup", speedup)
-      .set("identity", true)
-      .set("hardware_threads", static_cast<std::uint64_t>(hardware))
-      .set("speedup_gate",
-           gate_applies ? (speedup >= 3.0 ? "passed" : "failed")
-                        : (smoke ? "skipped (smoke)"
-                                 : "skipped (insufficient cores)"));
-  bench::write_json(out_path, root);
+  JsonWriter json;
+  json.begin_object()
+      .key("bench").value("ingest")
+      .key("smoke").value(smoke)
+      .key("seed").value(static_cast<std::uint64_t>(config.seed))
+      .key("packets").value(static_cast<std::uint64_t>(reference.size()))
+      .key("pcap_bytes").value(static_cast<std::uint64_t>(pcap.size()))
+      .key("batch_frames").value(static_cast<std::uint64_t>(timed.batch_frames))
+      .key("ring_capacity")
+      .value(static_cast<std::uint64_t>(timed.ring_capacity))
+      .key("sequential_pps").value(seq_pps)
+      .key("batched_pps").value(batched_pps)
+      .key("speedup").value(speedup)
+      .key("identity").value(true)
+      .key("hardware_threads").value(static_cast<std::uint64_t>(hardware))
+      .key("speedup_gate")
+      .value(gate_applies ? (speedup >= 3.0 ? "passed" : "failed")
+                          : (smoke ? "skipped (smoke)"
+                                   : "skipped (insufficient cores)"))
+      .end_object();
+  bench::write_json(out_path, json);
 
   if (gate_applies && speedup < 3.0) {
     std::cerr << "bench_ingest: batched speedup " << fixed(speedup, 2)

@@ -239,17 +239,19 @@ int run_smoke(const std::string& out_path) {
   std::cout << "overhead ratio: " << fixed(ratio, 4) << " (budget "
             << fixed(kMaxRatio, 2) << ")\n";
 
-  bench::JsonValue root;
-  root.set("bench", "micro_pipeline")
-      .set("mode", "smoke")
-      .set("packets_per_pass", static_cast<std::uint64_t>(packets.size()))
-      .set("rounds", static_cast<std::uint64_t>(kRounds))
-      .set("min_enabled_ms", min_enabled * 1e3)
-      .set("min_disabled_ms", min_disabled * 1e3)
-      .set("overhead_ratio", ratio)
-      .set("overhead_budget", kMaxRatio)
-      .set("overhead_gate", passed ? "passed" : "failed");
-  bench::write_json(out_path, root);
+  JsonWriter json;
+  json.begin_object()
+      .key("bench").value("micro_pipeline")
+      .key("mode").value("smoke")
+      .key("packets_per_pass").value(static_cast<std::uint64_t>(packets.size()))
+      .key("rounds").value(static_cast<std::uint64_t>(kRounds))
+      .key("min_enabled_ms").value(min_enabled * 1e3)
+      .key("min_disabled_ms").value(min_disabled * 1e3)
+      .key("overhead_ratio").value(ratio)
+      .key("overhead_budget").value(kMaxRatio)
+      .key("overhead_gate").value(passed ? "passed" : "failed")
+      .end_object();
+  bench::write_json(out_path, json);
 
   if (!passed) {
     std::cerr << "bench_micro_pipeline: instrumentation overhead "

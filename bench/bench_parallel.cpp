@@ -141,7 +141,22 @@ int run(int argc, char** argv) {
 
   // --- Parallel correctness + timing per thread count ------------------
   const int thread_counts[] = {1, 2, 4, 8};
-  bench::JsonValue scaling = bench::JsonValue::array();
+  const unsigned hardware = std::thread::hardware_concurrency();
+  JsonWriter json;
+  json.begin_object()
+      .key("bench").value("parallel")
+      .key("smoke").value(smoke)
+      .key("seed").value(static_cast<std::uint64_t>(config.seed))
+      .key("telescope_packets")
+      .value(static_cast<std::uint64_t>(workload.packets.size()))
+      .key("honeypot_requests").value(total_requests)
+      .key("telescope_events")
+      .value(static_cast<std::uint64_t>(seq_telescope.size()))
+      .key("honeypot_events")
+      .value(static_cast<std::uint64_t>(seq_honeypot.size()))
+      .key("hardware_threads").value(static_cast<std::uint64_t>(hardware))
+      .key("scaling")
+      .begin_array();
   TextTable table({"threads", "telescope_ms", "honeypot_ms", "combined_ms",
                    "speedup"});
   double combined_1t = 0.0;
@@ -177,18 +192,18 @@ int run(int argc, char** argv) {
                    fixed(telescope_timing.seconds_per_iter * 1e3, 2),
                    fixed(honeypot_timing.seconds_per_iter * 1e3, 2),
                    fixed(combined * 1e3, 2), fixed(speedup, 2) + "x"});
-    scaling.push(
-        bench::JsonValue()
-            .set("threads", static_cast<std::uint64_t>(threads))
-            .set("telescope_ms", telescope_timing.seconds_per_iter * 1e3)
-            .set("honeypot_ms", honeypot_timing.seconds_per_iter * 1e3)
-            .set("combined_ms", combined * 1e3)
-            .set("speedup", speedup));
+    json.begin_object()
+        .key("threads").value(static_cast<std::uint64_t>(threads))
+        .key("telescope_ms").value(telescope_timing.seconds_per_iter * 1e3)
+        .key("honeypot_ms").value(honeypot_timing.seconds_per_iter * 1e3)
+        .key("combined_ms").value(combined * 1e3)
+        .key("speedup").value(speedup)
+        .end_object();
   }
+  json.end_array();
   std::cout << table;
 
   const double speedup_8t = combined_8t > 0.0 ? combined_1t / combined_8t : 0.0;
-  const unsigned hardware = std::thread::hardware_concurrency();
   const bool gate_applies = !smoke && hardware >= 8;
   std::cout << "events: " << seq_telescope.size() << " telescope + "
             << seq_honeypot.size() << " honeypot (identical at every thread "
@@ -196,25 +211,14 @@ int run(int argc, char** argv) {
             << "8-thread speedup: " << fixed(speedup_8t, 2) << "x on "
             << hardware << " hardware threads\n";
 
-  bench::JsonValue root;
-  root.set("bench", "parallel")
-      .set("smoke", smoke)
-      .set("seed", static_cast<std::uint64_t>(config.seed))
-      .set("telescope_packets",
-           static_cast<std::uint64_t>(workload.packets.size()))
-      .set("honeypot_requests", total_requests)
-      .set("telescope_events",
-           static_cast<std::uint64_t>(seq_telescope.size()))
-      .set("honeypot_events", static_cast<std::uint64_t>(seq_honeypot.size()))
-      .set("hardware_threads", static_cast<std::uint64_t>(hardware))
-      .set("deterministic", true)
-      .set("scaling", std::move(scaling))
-      .set("speedup_8t", speedup_8t)
-      .set("speedup_gate", gate_applies
-                               ? (speedup_8t >= 3.0 ? "passed" : "failed")
-                               : (smoke ? "skipped (smoke)"
-                                        : "skipped (insufficient cores)"));
-  bench::write_json(out_path, root);
+  json.key("deterministic").value(true)
+      .key("speedup_8t").value(speedup_8t)
+      .key("speedup_gate")
+      .value(gate_applies ? (speedup_8t >= 3.0 ? "passed" : "failed")
+                          : (smoke ? "skipped (smoke)"
+                                   : "skipped (insufficient cores)"))
+      .end_object();
+  bench::write_json(out_path, json);
 
   if (gate_applies && speedup_8t < 3.0) {
     std::cerr << "bench_parallel: 8-thread speedup " << fixed(speedup_8t, 2)

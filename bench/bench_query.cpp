@@ -121,7 +121,18 @@ int run(int argc, char** argv) {
                        .between(mid, mid + week)
                        .at_least(1.0)});
 
-  bench::JsonValue queries = bench::JsonValue::array();
+  JsonWriter json;
+  json.begin_object()
+      .key("bench").value("query")
+      .key("smoke").value(smoke)
+      .key("events").value(static_cast<std::uint64_t>(events.size()))
+      .key("days").value(static_cast<std::uint64_t>(world->window.num_days()))
+      .key("seed").value(static_cast<std::uint64_t>(config.seed))
+      .key("index_build").begin_object()
+      .key("ms").value(build_timing.seconds_per_iter * 1e3)
+      .key("events_per_sec").value(build_rate)
+      .end_object()
+      .key("filtered_queries").begin_array();
   TextTable table({"query", "plan", "indexed_us", "scan_us", "speedup"});
   double min_speedup = 0.0;
   bool first = true;
@@ -144,15 +155,17 @@ int run(int argc, char** argv) {
                    fixed(indexed.seconds_per_iter * 1e6, 2),
                    fixed(scan.seconds_per_iter * 1e6, 2),
                    fixed(speedup, 1) + "x"});
-    queries.push(bench::JsonValue()
-                     .set("name", qc.name)
-                     .set("plan", query::to_string(plan.choice))
-                     .set("candidates", plan.candidates)
-                     .set("matches", expected)
-                     .set("indexed_us", indexed.seconds_per_iter * 1e6)
-                     .set("scan_us", scan.seconds_per_iter * 1e6)
-                     .set("speedup", speedup));
+    json.begin_object()
+        .key("name").value(qc.name)
+        .key("plan").value(query::to_string(plan.choice))
+        .key("candidates").value(plan.candidates)
+        .key("matches").value(expected)
+        .key("indexed_us").value(indexed.seconds_per_iter * 1e6)
+        .key("scan_us").value(scan.seconds_per_iter * 1e6)
+        .key("speedup").value(speedup)
+        .end_object();
   }
+  json.end_array();
   std::cout << table;
 
   // --- Top-k aggregations (heavier per-row work on both sides) ---------
@@ -176,26 +189,17 @@ int run(int argc, char** argv) {
             << "min filtered-query speedup: " << fixed(min_speedup, 1)
             << "x\n";
 
-  bench::JsonValue root;
-  root.set("bench", "query")
-      .set("smoke", smoke)
-      .set("events", static_cast<std::uint64_t>(events.size()))
-      .set("days", static_cast<std::uint64_t>(world->window.num_days()))
-      .set("seed", static_cast<std::uint64_t>(config.seed))
-      .set("index_build", bench::JsonValue()
-                              .set("ms", build_timing.seconds_per_iter * 1e3)
-                              .set("events_per_sec", build_rate))
-      .set("filtered_queries", std::move(queries))
-      .set("min_filtered_speedup", min_speedup)
-      .set("topk_asns", bench::JsonValue()
-                            .set("indexed_us",
-                                 topk_indexed.seconds_per_iter * 1e6)
-                            .set("scan_us", topk_scan.seconds_per_iter * 1e6))
-      .set("country_ranking",
-           bench::JsonValue()
-               .set("indexed_us", table4_indexed.seconds_per_iter * 1e6)
-               .set("scan_us", table4_scan.seconds_per_iter * 1e6));
-  bench::write_json(out_path, root);
+  json.key("min_filtered_speedup").value(min_speedup)
+      .key("topk_asns").begin_object()
+      .key("indexed_us").value(topk_indexed.seconds_per_iter * 1e6)
+      .key("scan_us").value(topk_scan.seconds_per_iter * 1e6)
+      .end_object()
+      .key("country_ranking").begin_object()
+      .key("indexed_us").value(table4_indexed.seconds_per_iter * 1e6)
+      .key("scan_us").value(table4_scan.seconds_per_iter * 1e6)
+      .end_object()
+      .end_object();
+  bench::write_json(out_path, json);
 
   if (!smoke && min_speedup < 10.0) {
     std::cerr << "bench_query: min filtered-query speedup "

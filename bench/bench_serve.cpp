@@ -273,22 +273,25 @@ int run(int argc, char** argv) {
   table.add_row({"p99_us", fixed(load.p99_us, 1)});
   std::cout << table;
 
-  bench::JsonValue root;
-  root.set("bench", "serve")
-      .set("smoke", smoke)
-      .set("events", static_cast<std::uint64_t>(engine.snapshot()->size()))
-      .set("days", static_cast<std::uint64_t>(config.window.num_days()))
-      .set("seed", static_cast<std::uint64_t>(config.seed))
-      .set("identity_check", true)
-      .set("clients", static_cast<std::uint64_t>(clients))
-      .set("workers", static_cast<std::uint64_t>(cfg.workers))
-      .set("queries_in_mix", static_cast<std::uint64_t>(queries.size()))
-      .set("requests", load.requests)
-      .set("elapsed_s", load.elapsed_s)
-      .set("qps", load.qps)
-      .set("p50_us", load.p50_us)
-      .set("p99_us", load.p99_us);
-  bench::write_json(out_path, root);
+  JsonWriter json;
+  json.begin_object()
+      .key("bench").value("serve")
+      .key("smoke").value(smoke)
+      .key("events")
+      .value(static_cast<std::uint64_t>(engine.snapshot()->size()))
+      .key("days").value(static_cast<std::uint64_t>(config.window.num_days()))
+      .key("seed").value(static_cast<std::uint64_t>(config.seed))
+      .key("identity_check").value(true)
+      .key("clients").value(static_cast<std::uint64_t>(clients))
+      .key("workers").value(static_cast<std::uint64_t>(cfg.workers))
+      .key("queries_in_mix").value(static_cast<std::uint64_t>(queries.size()))
+      .key("requests").value(load.requests)
+      .key("elapsed_s").value(load.elapsed_s)
+      .key("qps").value(load.qps)
+      .key("p50_us").value(load.p50_us)
+      .key("p99_us").value(load.p99_us)
+      .end_object();
+  bench::write_json(out_path, json);
 
   if (!smoke && load.qps < 10000.0) {
     std::cerr << "bench_serve: " << fixed(load.qps, 0)

@@ -262,26 +262,28 @@ int run(int argc, char** argv) {
             << hits << " cache hits, " << fixed(warm_vs_hot, 2)
             << "x hot)\n";
 
-  bench::JsonValue root;
-  root.set("bench", "storage")
-      .set("smoke", smoke)
-      .set("events", static_cast<std::uint64_t>(w.events.size()))
-      .set("days", static_cast<std::uint64_t>(days))
-      .set("segment_days", static_cast<std::uint64_t>(segment_days))
-      .set("segments",
-           static_cast<std::uint64_t>(in_memory->num_segments()))
-      .set("archive_bytes", file_bytes)
-      .set("raw_bytes", raw_bytes)
-      .set("compression_ratio", ratio)
-      .set("write_ms", write_s * 1e3)
-      .set("hot_suite_ms", hot_ms)
-      .set("cold_first_pass_ms", cold_first_s * 1e3)
-      .set("cold_warm_ms", cold_warm_ms)
-      .set("cold_warm_vs_hot", warm_vs_hot)
-      .set("segment_loads", loads)
-      .set("cache_hits", hits)
-      .set("checksum", sink);
-  bench::write_json(out_path, root);
+  JsonWriter json;
+  json.begin_object()
+      .key("bench").value("storage")
+      .key("smoke").value(smoke)
+      .key("events").value(static_cast<std::uint64_t>(w.events.size()))
+      .key("days").value(static_cast<std::uint64_t>(days))
+      .key("segment_days").value(static_cast<std::uint64_t>(segment_days))
+      .key("segments")
+      .value(static_cast<std::uint64_t>(in_memory->num_segments()))
+      .key("archive_bytes").value(file_bytes)
+      .key("raw_bytes").value(raw_bytes)
+      .key("compression_ratio").value(ratio)
+      .key("write_ms").value(write_s * 1e3)
+      .key("hot_suite_ms").value(hot_ms)
+      .key("cold_first_pass_ms").value(cold_first_s * 1e3)
+      .key("cold_warm_ms").value(cold_warm_ms)
+      .key("cold_warm_vs_hot").value(warm_vs_hot)
+      .key("segment_loads").value(loads)
+      .key("cache_hits").value(hits)
+      .key("checksum").value(sink)
+      .end_object();
+  bench::write_json(out_path, json);
 
   if (ratio < 3.0) {
     std::cerr << "bench_storage: compression " << fixed(ratio, 2)

@@ -256,24 +256,27 @@ int run(int argc, char** argv) {
   table.add_row({"dispatch_alerts_per_s", fixed(alerts_per_s, 0)});
   std::cout << table;
 
-  bench::JsonValue root;
-  root.set("bench", "subscribe")
-      .set("smoke", smoke)
-      .set("subscriptions", static_cast<std::uint64_t>(total))
-      .set("scan_list", static_cast<std::uint64_t>(index.scan_list_size()))
-      .set("identity_check", true)
-      .set("identity_alerts", static_cast<std::uint64_t>(identity_alerts))
-      .set("index_alerts", static_cast<std::uint64_t>(stream.size()))
-      .set("scan_alerts", static_cast<std::uint64_t>(scan_alerts))
-      .set("index_matches", index_matches)
-      .set("scan_matches", scan_matches)
-      .set("index_us_per_alert", index_us)
-      .set("scan_us_per_alert", scan_us)
-      .set("speedup", speedup)
-      .set("dispatch_alerts", static_cast<std::uint64_t>(dispatch_alerts))
-      .set("dispatch_alerts_per_s", alerts_per_s)
-      .set("dispatched_total", dispatcher.alerts_dispatched());
-  bench::write_json(out_path, root);
+  JsonWriter json;
+  json.begin_object()
+      .key("bench").value("subscribe")
+      .key("smoke").value(smoke)
+      .key("subscriptions").value(static_cast<std::uint64_t>(total))
+      .key("scan_list")
+      .value(static_cast<std::uint64_t>(index.scan_list_size()))
+      .key("identity_check").value(true)
+      .key("identity_alerts").value(static_cast<std::uint64_t>(identity_alerts))
+      .key("index_alerts").value(static_cast<std::uint64_t>(stream.size()))
+      .key("scan_alerts").value(static_cast<std::uint64_t>(scan_alerts))
+      .key("index_matches").value(index_matches)
+      .key("scan_matches").value(scan_matches)
+      .key("index_us_per_alert").value(index_us)
+      .key("scan_us_per_alert").value(scan_us)
+      .key("speedup").value(speedup)
+      .key("dispatch_alerts").value(static_cast<std::uint64_t>(dispatch_alerts))
+      .key("dispatch_alerts_per_s").value(alerts_per_s)
+      .key("dispatched_total").value(dispatcher.alerts_dispatched())
+      .end_object();
+  bench::write_json(out_path, json);
 
   if (!smoke && speedup < 10.0) {
     std::cerr << "bench_subscribe: " << fixed(speedup, 1)

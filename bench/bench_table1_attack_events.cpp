@@ -9,8 +9,7 @@ int main() {
       "telescope 12.47M events/2.45M targets/0.77M /24s; honeypot 8.43M/"
       "4.18M/1.72M; combined 20.90M events, 2.19M /24s (~1/3 of active /24s)");
 
-  const auto& world = bench::shared_world();
-  const auto& pfx2as = world.population.pfx2as();
+  const auto& snapshot = bench::shared_snapshot();
 
   TextTable table({"source", "#events", "#targets", "#/24s", "#/16s", "#ASNs",
                    "events/target"});
@@ -26,8 +25,10 @@ int main() {
   const core::SourceFilter filters[] = {core::SourceFilter::kTelescope,
                                         core::SourceFilter::kHoneypot,
                                         core::SourceFilter::kCombined};
+  query::DatasetSummary summaries[3];
   for (int i = 0; i < 3; ++i) {
-    const auto summary = world.store.summarize(filters[i], pfx2as);
+    const auto& summary = summaries[i] =
+        query::summarize(snapshot, query::Query{}.from_source(filters[i]));
     table.add_row(
         {core::to_string(filters[i]), human_count(double(summary.events)),
          human_count(double(summary.unique_targets)),
@@ -48,9 +49,7 @@ int main() {
   // Shape checks the paper emphasizes: the telescope has more events per
   // target (follow-up attacks), the honeypot more unique targets; the
   // combined target set is sub-additive (overlap, §4).
-  const auto telescope = world.store.summarize(core::SourceFilter::kTelescope, pfx2as);
-  const auto honeypot = world.store.summarize(core::SourceFilter::kHoneypot, pfx2as);
-  const auto combined = world.store.summarize(core::SourceFilter::kCombined, pfx2as);
+  const auto& [telescope, honeypot, combined] = summaries;
   const double events_per_target_t =
       double(telescope.events) / double(telescope.unique_targets);
   const double events_per_target_h =

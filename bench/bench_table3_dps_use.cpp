@@ -1,5 +1,7 @@
 // Table 3 — DDoS Protection Service use: Web sites per provider, detected
 // from DNS fingerprints exactly as the paper's methodology does.
+#include <map>
+
 #include "bench_common.h"
 #include "dps/classifier.h"
 #include "dps/migration.h"

@@ -2,12 +2,14 @@
 // fuse the events, and print the headline numbers of the paper's analysis.
 //
 //   $ ./quickstart [seed]
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 
 #include "common/strings.h"
 #include "core/joint.h"
 #include "core/ports.h"
+#include "query/summary.h"
 #include "sim/scenario.h"
 
 int main(int argc, char** argv) {
@@ -24,12 +26,15 @@ int main(int argc, char** argv) {
             << world->dns.num_domains() << " Web domains, "
             << world->hosting.hosters().size() << " hosters\n";
 
-  // Table-1 style summary of what the detectors saw.
-  const auto& pfx2as = world->population.pfx2as();
+  // Table-1 style summary of what the detectors saw, queried from an
+  // indexed snapshot of the fused events.
+  const auto snapshot = query::Snapshot::from_store(
+      world->store, {world->population.pfx2as(), world->population.geo()});
   for (const auto filter :
        {core::SourceFilter::kTelescope, core::SourceFilter::kHoneypot,
         core::SourceFilter::kCombined}) {
-    const auto summary = world->store.summarize(filter, pfx2as);
+    const auto summary =
+        query::summarize(*snapshot, query::Query{}.from_source(filter));
     std::cout << "  " << core::to_string(filter) << ": " << summary.events
               << " events, " << summary.unique_targets << " targets, "
               << summary.unique_slash24 << " /24s, " << summary.unique_slash16
@@ -37,12 +42,15 @@ int main(int argc, char** argv) {
   }
 
   // Daily view of the busiest day.
-  const auto breakdown =
-      world->store.daily_breakdown(core::SourceFilter::kCombined, pfx2as);
-  const int busiest = breakdown.attacks.argmax();
-  std::cout << "\nBusiest day: " << to_string(world->window.date_of_day(busiest))
-            << " with " << breakdown.attacks.at(busiest) << " attacks on "
-            << breakdown.unique_targets.at(busiest) << " targets\n";
+  const auto daily = query::summarize_daily(*snapshot, query::Query{});
+  const auto busiest = std::max_element(
+      daily.begin(), daily.end(),
+      [](const auto& a, const auto& b) { return a.events < b.events; });
+  std::cout << "\nBusiest day: "
+            << to_string(world->window.date_of_day(
+                   static_cast<int>(busiest - daily.begin())))
+            << " with " << busiest->events << " attacks on "
+            << busiest->unique_targets << " targets\n";
 
   // Joint attacks.
   const core::JointAttackAnalysis joint(world->store);

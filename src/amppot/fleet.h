@@ -51,14 +51,6 @@ class HoneypotFleet {
   void run(std::span<const ReflectionAttackSpec> attacks, double window_start,
            double window_end, const ScannerNoiseConfig& noise = {});
 
-  /// Delivers a single request to the honeypot at `index` (the packet-level
-  /// ingestion path; see amppot/packet_ingest.h). Requests per honeypot
-  /// must arrive in non-decreasing time order. Returns true if the
-  /// honeypot replied.
-  bool deliver(std::size_t index, const RequestRecord& request) {
-    return honeypots_.at(index).receive(request);
-  }
-
   /// Consolidates every honeypot's log into fleet-level attack events and
   /// clears the logs. Events are time-ordered.
   std::vector<AmpPotEvent> harvest(const ConsolidatorConfig& config = {});

@@ -1,18 +1,21 @@
-// Deterministic compact-JSON building for API response bodies.
+// Deterministic compact-JSON building: the one JSON writer behind the API
+// response bodies, the metrics exporter and the BENCH_*.json baselines.
 //
 // Response bytes are part of the serve determinism contract (identical for
 // the same query + snapshot version on any worker), so everything here is
 // locale-free and allocation-order-free: strings escape a fixed set,
-// doubles render via std::to_chars shortest-round-trip (the same choice as
-// obs/export.cpp), and the writer emits members strictly in call order.
+// doubles render via std::to_chars shortest-round-trip, and the writer
+// emits members strictly in call order.
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
-namespace dosm::serve {
+namespace dosm {
 
 inline void append_json_escaped(std::string& out, std::string_view s) {
   out += '"';
@@ -46,7 +49,9 @@ inline std::string json_double(double v) {
 }
 
 /// Minimal compact-JSON writer. The caller is responsible for well-formed
-/// nesting; members/elements are separated automatically.
+/// nesting; members/elements are separated automatically. JSON has no NaN
+/// or infinity, so value(double) throws std::domain_error on either rather
+/// than emit a body no parser accepts.
 class JsonWriter {
  public:
   std::string take() && { return std::move(out_); }
@@ -73,7 +78,11 @@ class JsonWriter {
   JsonWriter& value(const char* v) { return value(std::string_view(v)); }
   JsonWriter& value(std::uint64_t v) { return raw(std::to_string(v)); }
   JsonWriter& value(std::int64_t v) { return raw(std::to_string(v)); }
-  JsonWriter& value(double v) { return raw(json_double(v)); }
+  JsonWriter& value(double v) {
+    if (!std::isfinite(v))
+      throw std::domain_error("JsonWriter: non-finite number");
+    return raw(json_double(v));
+  }
   JsonWriter& value(bool v) { return raw(v ? "true" : "false"); }
 
  private:
@@ -111,4 +120,4 @@ class JsonWriter {
   bool pending_value_ = false;
 };
 
-}  // namespace dosm::serve
+}  // namespace dosm

@@ -1,6 +1,7 @@
 #include "core/serialize.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 
@@ -128,6 +129,10 @@ std::vector<AttackEvent> read_events(std::istream& in) try {
     event.start = get_le<double>(in);
     event.end = get_le<double>(in);
     event.intensity = get_le<double>(in);
+    if (!std::isfinite(event.start) || !std::isfinite(event.end) ||
+        !std::isfinite(event.intensity))
+      throw SerializeError("event dump corrupt: non-finite start, end or "
+                           "intensity");
     event.packets = get_le<std::uint64_t>(in);
     event.num_ports = get_le<std::uint16_t>(in);
     event.top_port = get_le<std::uint16_t>(in);

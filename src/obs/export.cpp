@@ -1,43 +1,24 @@
 #include "obs/export.h"
 
-#include <charconv>
 #include <fstream>
-#include <limits>
 #include <string>
+
+#include "common/json.h"
 
 namespace dosm::obs {
 namespace {
 
-/// Shortest round-trip decimal rendering (std::to_chars), so exports are
-/// byte-stable across runs and locales.
-std::string format_double(double v) {
-  char buf[64];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc{}) return "0";
-  return std::string(buf, end);
-}
-
-/// Metric names are restricted to [a-z0-9_.] by the registry; help strings
-/// are free-form and need minimal JSON escaping.
-std::string json_escape(const std::string& s) {
+/// Prometheus HELP text escapes backslash and line feed only.
+std::string prom_help_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+    if (c == '\\')
+      out += "\\\\";
+    else if (c == '\n')
+      out += "\\n";
+    else
+      out += c;
   }
   return out;
 }
@@ -75,11 +56,11 @@ std::string to_json(const MetricsSnapshot& snapshot) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"" + h.name + "\": {\"count\": " + std::to_string(h.count) +
-           ", \"sum\": " + format_double(h.sum) + ", \"buckets\": [";
+           ", \"sum\": " + json_double(h.sum) + ", \"buckets\": [";
     for (std::size_t i = 0; i < h.buckets.size(); ++i) {
       if (i) out += ", ";
       out += "{\"le\": \"";
-      out += i < h.upper_bounds.size() ? format_double(h.upper_bounds[i])
+      out += i < h.upper_bounds.size() ? json_double(h.upper_bounds[i])
                                        : std::string("+Inf");
       out += "\", \"n\": " + std::to_string(h.buckets[i]) + "}";
     }
@@ -95,32 +76,32 @@ std::string to_prometheus(const MetricsSnapshot& snapshot) {
   for (const auto& c : snapshot.counters) {
     const std::string name = prom_name(c.name);
     if (!c.help.empty())
-      out += "# HELP " + name + " " + json_escape(c.help) + "\n";
+      out += "# HELP " + name + " " + prom_help_escape(c.help) + "\n";
     out += "# TYPE " + name + " counter\n";
     out += name + " " + std::to_string(c.value) + "\n";
   }
   for (const auto& g : snapshot.gauges) {
     const std::string name = prom_name(g.name);
     if (!g.help.empty())
-      out += "# HELP " + name + " " + json_escape(g.help) + "\n";
+      out += "# HELP " + name + " " + prom_help_escape(g.help) + "\n";
     out += "# TYPE " + name + " gauge\n";
     out += name + " " + std::to_string(g.value) + "\n";
   }
   for (const auto& h : snapshot.histograms) {
     const std::string name = prom_name(h.name);
     if (!h.help.empty())
-      out += "# HELP " + name + " " + json_escape(h.help) + "\n";
+      out += "# HELP " + name + " " + prom_help_escape(h.help) + "\n";
     out += "# TYPE " + name + " histogram\n";
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < h.buckets.size(); ++i) {
       cumulative += h.buckets[i];
       const std::string le = i < h.upper_bounds.size()
-                                 ? format_double(h.upper_bounds[i])
+                                 ? json_double(h.upper_bounds[i])
                                  : std::string("+Inf");
       out += name + "_bucket{le=\"" + le + "\"} " + std::to_string(cumulative) +
              "\n";
     }
-    out += name + "_sum " + format_double(h.sum) + "\n";
+    out += name + "_sum " + json_double(h.sum) + "\n";
     out += name + "_count " + std::to_string(h.count) + "\n";
   }
   return out;

@@ -98,7 +98,7 @@ std::vector<AsnCount> ScanOracle::top_asns(const Query& query,
 std::vector<core::CountryCount> ScanOracle::country_ranking(
     const Query& query) const {
   // Count each matching target once, in its geolocated country — the
-  // Table-4 semantics of EventStore::country_ranking.
+  // paper's Table-4 semantics.
   std::unordered_set<std::uint32_t> seen;
   std::map<meta::CountryCode, std::uint64_t> counts;
   std::uint64_t total = 0;

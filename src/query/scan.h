@@ -28,7 +28,7 @@ class ScanOracle {
   std::uint64_t count(const Query& query) const;
   std::uint64_t unique_targets(const Query& query) const;
   /// Attacks per window day (events starting outside the window are
-  /// dropped, as in EventStore::daily_breakdown).
+  /// dropped; an event counts toward the day its start falls on).
   DailySeries daily_attacks(const Query& query) const;
   std::vector<TargetCount> top_targets(const Query& query, std::size_t k) const;
   std::vector<AsnCount> top_asns(const Query& query, std::size_t k) const;

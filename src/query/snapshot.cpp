@@ -500,8 +500,8 @@ std::vector<AsnCount> Snapshot::top_asns(const Query& query, std::size_t k,
 std::vector<core::CountryCount> Snapshot::country_ranking(
     const Query& query, const ExecBudget& budget) const {
   // Packed codes order exactly like CountryCode (both compare the two ASCII
-  // letters lexicographically), so sorting on the packed key reproduces the
-  // EventStore tie-break. The first-seen dedup walks global row order, so
+  // letters lexicographically), so sorting on the packed key gives the
+  // ScanOracle tie-break. The first-seen dedup walks global row order, so
   // it is granularity-independent.
   std::unordered_set<std::uint32_t> seen;
   std::unordered_map<PackedCountry, std::uint64_t> counts;

@@ -112,16 +112,15 @@ class Snapshot {
   std::uint64_t unique_targets(const Query& query,
                                const ExecBudget& budget = {}) const;
   /// Attacks per window day (events starting outside the window are
-  /// dropped, as in EventStore::daily_breakdown).
+  /// dropped; an event counts toward the day its start falls on).
   DailySeries daily_attacks(const Query& query,
                             const ExecBudget& budget = {}) const;
   std::vector<TargetCount> top_targets(const Query& query, std::size_t k,
                                        const ExecBudget& budget = {}) const;
   std::vector<AsnCount> top_asns(const Query& query, std::size_t k,
                                  const ExecBudget& budget = {}) const;
-  /// Table-4 semantics: unique matching targets per country, descending,
-  /// with shares. Identical output to EventStore::country_ranking for the
-  /// same source filter (regression-tested byte-for-byte).
+  /// Table-4 semantics: unique matching targets per country, descending
+  /// (ties by country code), with shares of the matching target population.
   std::vector<core::CountryCount> country_ranking(
       const Query& query, const ExecBudget& budget = {}) const;
   std::vector<core::CountryCount> top_countries(

@@ -1,9 +1,10 @@
 #include "serve/api.h"
 
 #include <charconv>
+#include <cmath>
 
+#include "common/json.h"
 #include "common/time.h"
-#include "serve/json.h"
 #include "serve/metrics.h"
 #include "serve/router.h"
 
@@ -12,10 +13,12 @@ namespace {
 
 constexpr std::string_view kJson = "application/json";
 
+/// A finite decimal: from_chars also accepts "nan" and "inf", which would
+/// make an intensity filter match every row (or none).
 bool parse_f64(const std::string& s, double& out) {
   const auto [ptr, ec] =
       std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc{} && ptr == s.data() + s.size();
+  return ec == std::errc{} && ptr == s.data() + s.size() && std::isfinite(out);
 }
 
 /// Canonical, injective rendering of the resolved call — the cache-key

@@ -5,8 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "serve/api.h"
-#include "serve/json.h"
 #include "serve/router.h"
 #include "subscribe/dispatcher.h"
 

@@ -131,6 +131,8 @@ reject(--direct --seed 7 --days 2 --direct inf --quiet)
 reject(--reflection --seed 7 --days 2 --reflection nan --quiet)
 reject(--k query --seed 7 --days 10 --k 0)
 reject(--k query --seed 7 --days 10 --k 100001)
+reject(--min-intensity query --seed 7 --days 10 --min-intensity nan)
+reject(--min-intensity query --seed 7 --days 10 --min-intensity inf)
 
 get_property(failures GLOBAL PROPERTY cli_golden_failures)
 if(failures)

@@ -1,12 +1,17 @@
-// EventStore tests: fusion, summaries, daily series, normalization.
+// EventStore tests: fusion, summaries, daily series, normalization. The
+// Table-1 rows, daily series and country ranking are queried from a
+// Snapshot of the store through query/summary.h.
 #include <gtest/gtest.h>
 
 #include "core/event_store.h"
+#include "meta/pfx2as.h"
+#include "query/summary.h"
 
 namespace dosm::core {
 namespace {
 
 using net::Ipv4Addr;
+using query::Query;
 
 AttackEvent telescope_event(Ipv4Addr target, double start, double duration,
                             double max_pps) {
@@ -44,6 +49,13 @@ class EventStoreTest : public ::testing::Test {
     pfx2as_.announce(net::Prefix::parse("20.0.0.0/8"), 200);
     geo_.add(net::Prefix::parse("10.0.0.0/8"), meta::CountryCode("US"));
     geo_.add(net::Prefix::parse("20.0.0.0/8"), meta::CountryCode("CN"));
+  }
+
+  std::shared_ptr<const query::Snapshot> snapshot(const EventStore& store) {
+    return query::Snapshot::from_store(store, {pfx2as_, geo_});
+  }
+  static Query source(SourceFilter filter) {
+    return Query{}.from_source(filter);
   }
 
   StudyWindow window_{};
@@ -92,14 +104,16 @@ TEST_F(EventStoreTest, SummarizeCountsRollups) {
   store.add(honeypot_event(Ipv4Addr(10, 0, 0, 1), t0_ + 500, 300, 50.0));
   store.finalize();
 
-  const auto combined = store.summarize(SourceFilter::kCombined, pfx2as_);
+  const auto snap = snapshot(store);
+  const auto combined = query::summarize(*snap, Query{});
   EXPECT_EQ(combined.events, 5u);
   EXPECT_EQ(combined.unique_targets, 4u);
   EXPECT_EQ(combined.unique_slash24, 3u);  // 10.0.0/24, 10.0.1/24, 20.0.0/24
   EXPECT_EQ(combined.unique_slash16, 2u);
   EXPECT_EQ(combined.unique_asns, 2u);
 
-  const auto telescope = store.summarize(SourceFilter::kTelescope, pfx2as_);
+  const auto telescope =
+      query::summarize(*snap, source(SourceFilter::kTelescope));
   EXPECT_EQ(telescope.events, 3u);
   EXPECT_EQ(telescope.unique_targets, 3u);
   EXPECT_EQ(telescope.unique_asns, 1u);
@@ -139,12 +153,13 @@ TEST_F(EventStoreTest, DailyBreakdownPlacesEventsOnStartDay) {
   store.add(telescope_event(Ipv4Addr(10, 0, 0, 3), t0_ + 86000, 3600, 1.0));
   store.add(telescope_event(Ipv4Addr(10, 0, 0, 4), t0_ + 86400 + 100, 60, 1.0));
   store.finalize();
-  const auto breakdown = store.daily_breakdown(SourceFilter::kTelescope, pfx2as_);
-  EXPECT_DOUBLE_EQ(breakdown.attacks.at(0), 3.0);
-  EXPECT_DOUBLE_EQ(breakdown.attacks.at(1), 1.0);
-  EXPECT_DOUBLE_EQ(breakdown.unique_targets.at(0), 3.0);
-  EXPECT_DOUBLE_EQ(breakdown.targeted_slash16.at(0), 1.0);
-  EXPECT_DOUBLE_EQ(breakdown.targeted_asns.at(0), 1.0);
+  const auto daily = query::summarize_daily(*snapshot(store),
+                                           source(SourceFilter::kTelescope));
+  EXPECT_EQ(daily[0].events, 3u);
+  EXPECT_EQ(daily[1].events, 1u);
+  EXPECT_EQ(daily[0].unique_targets, 3u);
+  EXPECT_EQ(daily[0].unique_slash16, 1u);
+  EXPECT_EQ(daily[0].unique_asns, 1u);
 }
 
 TEST_F(EventStoreTest, DailyBreakdownDeduplicatesTargets) {
@@ -153,9 +168,10 @@ TEST_F(EventStoreTest, DailyBreakdownDeduplicatesTargets) {
   store.add(telescope_event(target, t0_ + 100, 60, 1.0));
   store.add(telescope_event(target, t0_ + 5000, 60, 1.0));
   store.finalize();
-  const auto breakdown = store.daily_breakdown(SourceFilter::kTelescope, pfx2as_);
-  EXPECT_DOUBLE_EQ(breakdown.attacks.at(0), 2.0);
-  EXPECT_DOUBLE_EQ(breakdown.unique_targets.at(0), 1.0);
+  const auto daily = query::summarize_daily(*snapshot(store),
+                                           source(SourceFilter::kTelescope));
+  EXPECT_EQ(daily[0].events, 2u);
+  EXPECT_EQ(daily[0].unique_targets, 1u);
 }
 
 TEST_F(EventStoreTest, MediumIntensityFilterUsesSourceMean) {
@@ -168,9 +184,20 @@ TEST_F(EventStoreTest, MediumIntensityFilterUsesSourceMean) {
   store.add(honeypot_event(Ipv4Addr(20, 0, 0, 1), t0_ + 400, 100, 50.0));
   store.finalize();
   EXPECT_DOUBLE_EQ(store.mean_intensity(EventSource::kTelescope), 4.0);
-  const auto filtered =
-      store.daily_breakdown(SourceFilter::kCombined, pfx2as_, true);
-  EXPECT_DOUBLE_EQ(filtered.attacks.at(0), 2.0);  // the 10-pps + the honeypot
+  const auto events = store.events();
+  EXPECT_FALSE(store.is_medium_or_higher(events[0]));
+  EXPECT_FALSE(store.is_medium_or_higher(events[1]));
+  EXPECT_TRUE(store.is_medium_or_higher(events[2]));
+  EXPECT_TRUE(store.is_medium_or_higher(events[3]));
+  // The Figure-5 selection: each source at or above its own mean.
+  const auto snap = snapshot(store);
+  const auto medium = [&](SourceFilter filter, EventSource src) {
+    const double threshold = store.mean_intensity(src);
+    return snap->daily_attacks(source(filter).at_least(threshold)).at(0);
+  };
+  EXPECT_DOUBLE_EQ(medium(SourceFilter::kTelescope, EventSource::kTelescope) +
+                       medium(SourceFilter::kHoneypot, EventSource::kHoneypot),
+                   2.0);  // the 10-pps + the honeypot
 }
 
 TEST_F(EventStoreTest, NormalizedIntensityIsLinearPerSource) {
@@ -192,7 +219,8 @@ TEST_F(EventStoreTest, CountryRankingOrdersByTargets) {
   store.add(telescope_event(Ipv4Addr(20, 0, 0, 1), t0_ + 100, 60, 1.0));
   store.add(telescope_event(Ipv4Addr(99, 0, 0, 1), t0_ + 100, 60, 1.0));
   store.finalize();
-  const auto ranking = store.country_ranking(SourceFilter::kTelescope, geo_);
+  const auto ranking =
+      snapshot(store)->country_ranking(source(SourceFilter::kTelescope));
   ASSERT_EQ(ranking.size(), 3u);  // US, CN, ZZ (unknown)
   EXPECT_EQ(ranking[0].country.to_string(), "US");
   EXPECT_EQ(ranking[0].targets, 2u);
@@ -204,12 +232,18 @@ TEST_F(EventStoreTest, DistributionsSeparateBySource) {
   store.add(telescope_event(Ipv4Addr(10, 0, 0, 1), t0_ + 100, 100, 3.0));
   store.add(honeypot_event(Ipv4Addr(20, 0, 0, 1), t0_ + 100, 200, 70.0));
   store.finalize();
-  EXPECT_EQ(store.intensity_distribution(SourceFilter::kTelescope).size(), 1u);
-  EXPECT_EQ(store.intensity_distribution(SourceFilter::kCombined).size(), 2u);
-  EXPECT_DOUBLE_EQ(store.duration_distribution(SourceFilter::kTelescope).max(),
-                   100.0);
-  EXPECT_DOUBLE_EQ(store.duration_distribution(SourceFilter::kHoneypot).max(),
-                   200.0);
+  const auto snap = snapshot(store);
+  EXPECT_EQ(query::summarize(*snap, source(SourceFilter::kTelescope)).events,
+            1u);
+  EXPECT_EQ(query::summarize(*snap, Query{}).events, 2u);
+  const auto durations = [&](SourceFilter filter) {
+    EmpiricalDistribution dist;
+    for (const auto& event : store.events())
+      if (matches(filter, event.source)) dist.add(event.duration());
+    return dist;
+  };
+  EXPECT_DOUBLE_EQ(durations(SourceFilter::kTelescope).max(), 100.0);
+  EXPECT_DOUBLE_EQ(durations(SourceFilter::kHoneypot).max(), 200.0);
 }
 
 TEST_F(EventStoreTest, OverlapPredicate) {

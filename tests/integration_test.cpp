@@ -9,6 +9,7 @@
 #include "core/ports.h"
 #include "core/taxonomy.h"
 #include "dps/classifier.h"
+#include "query/summary.h"
 #include "sim/scenario.h"
 
 namespace dosm {
@@ -32,8 +33,12 @@ class IntegrationTest : public ::testing::Test {
     timelines_ = new std::vector<dps::ProtectionTimeline>(
         dps::all_timelines(world_->dns, *classifier_));
     impact_ = new core::ImpactAnalysis(world_->store, world_->dns);
+    snapshot_ = query::Snapshot::from_store(
+        world_->store,
+        {world_->population.pfx2as(), world_->population.geo()});
   }
   static void TearDownTestSuite() {
+    snapshot_.reset();
     delete impact_;
     delete timelines_;
     delete classifier_;
@@ -44,19 +49,31 @@ class IntegrationTest : public ::testing::Test {
   static dps::Classifier* classifier_;
   static std::vector<dps::ProtectionTimeline>* timelines_;
   static core::ImpactAnalysis* impact_;
+  static std::shared_ptr<const query::Snapshot> snapshot_;
+
+  static query::DatasetSummary summarize(core::SourceFilter filter) {
+    return query::summarize(*snapshot_, query::Query{}.from_source(filter));
+  }
+  /// Per-source distribution of an event field (Figures 2-4).
+  template <typename Field>
+  static EmpiricalDistribution distribution(core::EventSource source,
+                                            Field field) {
+    EmpiricalDistribution dist;
+    for (const auto& event : world_->store.events())
+      if (event.source == source) dist.add(field(event));
+    return dist;
+  }
 };
 
 sim::World* IntegrationTest::world_ = nullptr;
 dps::Classifier* IntegrationTest::classifier_ = nullptr;
 std::vector<dps::ProtectionTimeline>* IntegrationTest::timelines_ = nullptr;
 core::ImpactAnalysis* IntegrationTest::impact_ = nullptr;
+std::shared_ptr<const query::Snapshot> IntegrationTest::snapshot_;
 
 TEST_F(IntegrationTest, Table1ShapeHolds) {
-  const auto& pfx2as = world_->population.pfx2as();
-  const auto telescope =
-      world_->store.summarize(core::SourceFilter::kTelescope, pfx2as);
-  const auto honeypot =
-      world_->store.summarize(core::SourceFilter::kHoneypot, pfx2as);
+  const auto telescope = summarize(core::SourceFilter::kTelescope);
+  const auto honeypot = summarize(core::SourceFilter::kHoneypot);
   ASSERT_GT(telescope.events, 1000u);
   ASSERT_GT(honeypot.events, 1000u);
   // The paper's key ratio: more follow-up per target in the telescope data.
@@ -68,22 +85,22 @@ TEST_F(IntegrationTest, Table1ShapeHolds) {
 }
 
 TEST_F(IntegrationTest, Figure1DailySeriesAreDense) {
-  const auto breakdown = world_->store.daily_breakdown(
-      core::SourceFilter::kCombined, world_->population.pfx2as());
-  int days_with_attacks = 0;
-  for (int d = 0; d < breakdown.attacks.num_days(); ++d) {
-    if (breakdown.attacks.at(d) > 0) ++days_with_attacks;
-    EXPECT_LE(breakdown.unique_targets.at(d), breakdown.attacks.at(d));
-    EXPECT_LE(breakdown.targeted_asns.at(d), breakdown.unique_targets.at(d));
+  const auto daily = query::summarize_daily(*snapshot_, query::Query{});
+  ASSERT_EQ(daily.size(),
+            static_cast<std::size_t>(world_->window.num_days()));
+  std::size_t days_with_attacks = 0;
+  for (const auto& day : daily) {
+    if (day.events > 0) ++days_with_attacks;
+    EXPECT_LE(day.unique_targets, day.events);
+    EXPECT_LE(day.unique_asns, day.unique_targets);
   }
-  EXPECT_EQ(days_with_attacks, breakdown.attacks.num_days());
+  EXPECT_EQ(days_with_attacks, daily.size());
 }
 
 TEST_F(IntegrationTest, Figure2DurationShape) {
-  const auto telescope =
-      world_->store.duration_distribution(core::SourceFilter::kTelescope);
-  const auto honeypot =
-      world_->store.duration_distribution(core::SourceFilter::kHoneypot);
+  const auto duration = [](const core::AttackEvent& e) { return e.duration(); };
+  const auto telescope = distribution(core::EventSource::kTelescope, duration);
+  const auto honeypot = distribution(core::EventSource::kHoneypot, duration);
   // Randomly spoofed attacks last longer (paper: medians 454 s vs 255 s).
   EXPECT_GT(telescope.median(), honeypot.median());
   EXPECT_GE(telescope.min(), 60.0);  // threshold floor
@@ -95,10 +112,9 @@ TEST_F(IntegrationTest, Figure2DurationShape) {
 }
 
 TEST_F(IntegrationTest, Figure3And4IntensityShape) {
-  const auto telescope =
-      world_->store.intensity_distribution(core::SourceFilter::kTelescope);
-  const auto honeypot =
-      world_->store.intensity_distribution(core::SourceFilter::kHoneypot);
+  const auto intensity = [](const core::AttackEvent& e) { return e.intensity; };
+  const auto telescope = distribution(core::EventSource::kTelescope, intensity);
+  const auto honeypot = distribution(core::EventSource::kHoneypot, intensity);
   // Paper: ~70% of telescope events at <= 2 pps; honeypot median 77 rps.
   EXPECT_GT(telescope.cdf(2.0), 0.35);
   EXPECT_GT(honeypot.median(), 10.0);

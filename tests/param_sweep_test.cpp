@@ -9,6 +9,7 @@
 #include "amppot/honeypot.h"
 #include "common/rng.h"
 #include "core/event_store.h"
+#include "query/summary.h"
 
 namespace dosm {
 namespace {
@@ -155,9 +156,16 @@ TEST_P(StoreInvariants, HoldForRandomPopulations) {
 
   meta::PrefixToAsMap pfx2as;
   pfx2as.announce(net::Prefix::parse("10.0.0.0/8"), 64500);
-  const auto telescope = store.summarize(core::SourceFilter::kTelescope, pfx2as);
-  const auto honeypot = store.summarize(core::SourceFilter::kHoneypot, pfx2as);
-  const auto combined = store.summarize(core::SourceFilter::kCombined, pfx2as);
+  const meta::GeoDatabase geo;
+  const auto snap = query::Snapshot::from_store(store, {pfx2as, geo});
+  const auto source = [](core::SourceFilter filter) {
+    return query::Query{}.from_source(filter);
+  };
+  const auto telescope =
+      query::summarize(*snap, source(core::SourceFilter::kTelescope));
+  const auto honeypot =
+      query::summarize(*snap, source(core::SourceFilter::kHoneypot));
+  const auto combined = query::summarize(*snap, query::Query{});
 
   // Event counts are additive; target sets sub-additive.
   EXPECT_EQ(combined.events, telescope.events + honeypot.events);
@@ -185,13 +193,20 @@ TEST_P(StoreInvariants, HoldForRandomPopulations) {
   EXPECT_DOUBLE_EQ(max_norm, 1.0);
 
   // Daily series totals match the event count (every event is in-window).
-  const auto breakdown =
-      store.daily_breakdown(core::SourceFilter::kCombined, pfx2as);
-  EXPECT_DOUBLE_EQ(breakdown.attacks.total(), static_cast<double>(store.size()));
-  // Medium+ is a subset.
-  const auto medium =
-      store.daily_breakdown(core::SourceFilter::kCombined, pfx2as, true);
-  EXPECT_LE(medium.attacks.total(), breakdown.attacks.total());
+  std::uint64_t daily_total = 0;
+  for (const auto& day : query::summarize_daily(*snap, query::Query{}))
+    daily_total += day.events;
+  EXPECT_EQ(daily_total, store.size());
+  // Medium+ (each source at or above its own mean) is a subset.
+  const auto medium = [&](core::SourceFilter filter, core::EventSource src) {
+    const double threshold = store.mean_intensity(src);
+    return snap->daily_attacks(source(filter).at_least(threshold)).total();
+  };
+  using core::EventSource;
+  using core::SourceFilter;
+  EXPECT_LE(medium(SourceFilter::kTelescope, EventSource::kTelescope) +
+                medium(SourceFilter::kHoneypot, EventSource::kHoneypot),
+            static_cast<double>(daily_total));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StoreInvariants,

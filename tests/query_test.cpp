@@ -1,18 +1,19 @@
 // Query engine correctness: seeded property tests comparing the indexed
 // Snapshot against the ScanOracle (naive linear scan) for every filter /
-// aggregation combination, planner behaviour, and the Table-4 regression
-// (byte-identical to the legacy EventStore scan).
+// aggregation combination, planner behaviour, and the Table-1 and
+// Figure-1 rows composed in query/summary.h.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/strings.h"
 #include "query/engine.h"
 #include "query/scan.h"
 #include "query/snapshot.h"
+#include "query/summary.h"
 #include "sim/scenario.h"
 
 namespace dosm::query {
@@ -291,68 +292,66 @@ TEST(QuerySnapshotTest, TimeRangeBoundariesAreHalfOpen) {
   EXPECT_EQ(snap->start_at(rows[0]), day1);
 }
 
-TEST(QuerySnapshotTest, FromStoreMatchesEventStoreSummaries) {
+// ---------------------------------------------------------------------------
+// The paper's Table-1 rows and Figure-1 daily rows (query/summary.h) are
+// composed of Snapshot aggregations; each must equal the same row composed
+// of ScanOracle aggregations.
+// ---------------------------------------------------------------------------
+
+DatasetSummary oracle_summary(const ScanOracle& oracle, const Query& q) {
+  constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
+  DatasetSummary row;
+  row.events = oracle.count(q);
+  row.unique_targets = oracle.unique_targets(q);
+  std::set<std::uint32_t> slash24, slash16;
+  for (const auto& t : oracle.top_targets(q, kAll)) {
+    slash24.insert(t.target.slash24().value());
+    slash16.insert(t.target.slash16().value());
+  }
+  row.unique_slash24 = slash24.size();
+  row.unique_slash16 = slash16.size();
+  row.unique_asns = oracle.top_asns(q, kAll).size();
+  return row;
+}
+
+void expect_same_row(const DatasetSummary& got, const DatasetSummary& want,
+                     const std::string& what) {
+  EXPECT_EQ(got.events, want.events) << what;
+  EXPECT_EQ(got.unique_targets, want.unique_targets) << what;
+  EXPECT_EQ(got.unique_slash24, want.unique_slash24) << what;
+  EXPECT_EQ(got.unique_slash16, want.unique_slash16) << what;
+  EXPECT_EQ(got.unique_asns, want.unique_asns) << what;
+}
+
+TEST(QuerySummaryTest, TableOneRowsMatchTheOracle) {
   const auto world = sim::build_world(sim::ScenarioConfig::small());
   const auto& pfx2as = world->population.pfx2as();
   const auto& geo = world->population.geo();
   const auto snap =
       Snapshot::from_store(world->store, BuildContext{pfx2as, geo});
-  ASSERT_EQ(snap->size(), world->store.size());
+  const ScanOracle oracle(world->store.events(), world->window, pfx2as, geo);
 
   for (const auto filter : {SourceFilter::kTelescope, SourceFilter::kHoneypot,
                             SourceFilter::kCombined}) {
-    const auto summary = world->store.summarize(filter, pfx2as);
-    Query q;
-    q.from_source(filter);
-    EXPECT_EQ(snap->count(q), summary.events);
-    EXPECT_EQ(snap->unique_targets(q), summary.unique_targets);
+    const Query q = Query{}.from_source(filter);
+    expect_same_row(summarize(*snap, q), oracle_summary(oracle, q),
+                    core::to_string(filter));
   }
 
-  // The daily series agrees with the batch daily_breakdown.
-  const auto breakdown =
-      world->store.daily_breakdown(SourceFilter::kCombined, pfx2as);
-  const auto daily = snap->daily_attacks(Query{});
-  ASSERT_EQ(daily.num_days(), breakdown.attacks.num_days());
-  for (int d = 0; d < daily.num_days(); ++d)
-    EXPECT_DOUBLE_EQ(daily.at(d), breakdown.attacks.at(d)) << "day " << d;
-}
-
-// ---------------------------------------------------------------------------
-// Satellite regression: the Table-4 country ranking served by the query
-// engine must be byte-identical to the legacy EventStore linear scan.
-// ---------------------------------------------------------------------------
-
-std::string render_ranking(const std::vector<core::CountryCount>& ranking) {
-  std::ostringstream out;
-  for (const auto& row : ranking) {
-    out << row.country.to_string() << " " << row.targets << " "
-        << percent(row.share, 2) << "\n";
-  }
-  return out.str();
-}
-
-TEST(QueryTable4RegressionTest, CountryRankingIsByteIdenticalToLegacyScan) {
-  const auto world = sim::build_world(sim::ScenarioConfig::small());
-  const auto& geo = world->population.geo();
-  const auto snap = Snapshot::from_store(
-      world->store, BuildContext{world->population.pfx2as(), geo});
-
-  for (const auto filter : {SourceFilter::kTelescope, SourceFilter::kHoneypot,
-                            SourceFilter::kCombined}) {
-    const auto legacy = world->store.country_ranking(filter, geo);
-    Query q;
-    q.from_source(filter);
-    const auto served = snap->country_ranking(q);
-
-    ASSERT_EQ(served.size(), legacy.size()) << core::to_string(filter);
-    for (std::size_t i = 0; i < served.size(); ++i) {
-      EXPECT_EQ(served[i].country, legacy[i].country);
-      EXPECT_EQ(served[i].targets, legacy[i].targets);
-      // Exact double equality: same counts, same division.
-      EXPECT_EQ(served[i].share, legacy[i].share);
+  // Figure 1: one row per window day, summing to the in-window events.
+  const auto daily = summarize_daily(*snap, Query{});
+  const auto attacks = oracle.daily_attacks(Query{});
+  ASSERT_EQ(daily.size(), static_cast<std::size_t>(attacks.num_days()));
+  for (int d = 0; d < attacks.num_days(); ++d) {
+    const auto& row = daily[static_cast<std::size_t>(d)];
+    EXPECT_DOUBLE_EQ(static_cast<double>(row.events), attacks.at(d)) << d;
+    if (d % 7 == 0) {
+      const Query day = Query{}.between(
+          static_cast<double>(world->window.day_start(d)),
+          static_cast<double>(world->window.day_start(d + 1)));
+      expect_same_row(row, oracle_summary(oracle, day),
+                      "day " + std::to_string(d));
     }
-    EXPECT_EQ(render_ranking(served), render_ranking(legacy))
-        << core::to_string(filter);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "core/ports.h"
 #include "dps/classifier.h"
+#include "query/summary.h"
 #include "sim/scenario.h"
 
 namespace dosm {
@@ -45,13 +46,14 @@ TEST_F(ScenarioTest, EventsRespectDetectionThresholds) {
 }
 
 TEST_F(ScenarioTest, SummariesAreConsistent) {
-  const auto& pfx2as = world_->population.pfx2as();
-  const auto telescope =
-      world_->store.summarize(core::SourceFilter::kTelescope, pfx2as);
-  const auto honeypot =
-      world_->store.summarize(core::SourceFilter::kHoneypot, pfx2as);
-  const auto combined =
-      world_->store.summarize(core::SourceFilter::kCombined, pfx2as);
+  const auto snap = query::Snapshot::from_store(
+      world_->store, {world_->population.pfx2as(), world_->population.geo()});
+  const auto summarize = [&](core::SourceFilter filter) {
+    return query::summarize(*snap, query::Query{}.from_source(filter));
+  };
+  const auto telescope = summarize(core::SourceFilter::kTelescope);
+  const auto honeypot = summarize(core::SourceFilter::kHoneypot);
+  const auto combined = summarize(core::SourceFilter::kCombined);
   EXPECT_EQ(combined.events, telescope.events + honeypot.events);
   // Unique targets are sub-additive (overlap between datasets).
   EXPECT_LE(combined.unique_targets,

@@ -3,11 +3,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <type_traits>
 
 #include "core/serialize.h"
+#include "query/summary.h"
 #include "sim/scenario.h"
 
 namespace dosm::core {
@@ -101,6 +103,24 @@ TEST(Serialize, RejectsBadReflectionTag) {
   EXPECT_THROW(read_events(worse), SerializeError);
 }
 
+TEST(Serialize, RejectsNonFiniteTimesAndIntensity) {
+  // A NaN intensity would reach /query bodies as a bare `nan`; an infinite
+  // start would land on no day. Neither may load.
+  for (const int field : {0, 1, 2}) {
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+      std::vector<AttackEvent> events{sample_event(0), sample_event(1)};
+      (field == 0 ? events[1].start
+                  : field == 1 ? events[1].end : events[1].intensity) = bad;
+      std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
+      write_events(stream, events);
+      EXPECT_THROW(read_events(stream), SerializeError)
+          << "field " << field << " = " << bad;
+    }
+  }
+}
+
 TEST(Serialize, HostileHeaderCountDoesNotOverAllocate) {
   // A corrupt dump claiming 0xFFFFFFFF records used to reserve ~240 GB
   // before the first truncated read could throw. The reserve is now bounded,
@@ -165,10 +185,12 @@ TEST(Serialize, FileRoundTripAndStagedReanalysis) {
   for (const auto& event : loaded) restored.add(event);
   restored.finalize();
 
-  const auto& pfx2as = world->population.pfx2as();
-  const auto original =
-      world->store.summarize(SourceFilter::kCombined, pfx2as);
-  const auto reloaded = restored.summarize(SourceFilter::kCombined, pfx2as);
+  const query::BuildContext ctx{world->population.pfx2as(),
+                                world->population.geo()};
+  const auto original = query::summarize(
+      *query::Snapshot::from_store(world->store, ctx), query::Query{});
+  const auto reloaded = query::summarize(
+      *query::Snapshot::from_store(restored, ctx), query::Query{});
   EXPECT_EQ(original.events, reloaded.events);
   EXPECT_EQ(original.unique_targets, reloaded.unique_targets);
   EXPECT_EQ(original.unique_slash24, reloaded.unique_slash24);

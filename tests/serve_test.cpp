@@ -16,18 +16,19 @@
 #include <cerrno>
 #include <charconv>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "query/engine.h"
 #include "query/snapshot.h"
 #include "serve/api.h"
 #include "serve/cache.h"
 #include "serve/http.h"
-#include "serve/json.h"
 #include "serve/metrics.h"
 #include "serve/router.h"
 #include "serve/server.h"
@@ -216,6 +217,16 @@ TEST(JsonWriterTest, CompactNestedOutputWithEscapes) {
       .end_object();
   EXPECT_EQ(std::move(w).take(),
             "{\"s\":\"a\\\"b\\\\c\\n\\u0001\",\"n\":7,\"arr\":[1.5,true]}");
+}
+
+TEST(JsonWriterTest, RefusesNonFiniteNumbers) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    JsonWriter w;
+    w.begin_array();
+    EXPECT_THROW(w.value(bad), std::domain_error) << bad;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -459,12 +470,36 @@ TEST(ApiTest, RejectsMalformedParameters) {
   for (const std::string target :
        {"/query?from=2015-13-01", "/query?asn=abc", "/query?asn=-1",
         "/query?port=70000", "/query?country=DEU", "/query?prefix=10.0.0.0/33",
-        "/query?min_intensity=x", "/query?agg=median", "/query?k=0",
+        "/query?min_intensity=x", "/query?min_intensity=nan",
+        "/query?min_intensity=inf", "/query?min_intensity=-inf",
+        "/query?t0=nan", "/query?t1=inf", "/query?agg=median", "/query?k=0",
         "/query?k=9999999", "/query?explain=maybe", "/query?bogus=1",
         "/query?from=2015-01-01&t0=5"}) {
     const auto call = parse_query_request(request_for(target), window);
     EXPECT_FALSE(call.error.empty()) << target;
   }
+}
+
+// A non-finite value that does reach a snapshot (built directly, not
+// through a validated dump) becomes the 500 error body, never an invalid
+// 200 body with a bare `nan`.
+TEST(ApiTest, NonFiniteRowIsAServerErrorNotInvalidJson) {
+  const meta::PrefixToAsMap pfx2as;
+  const meta::GeoDatabase geo;
+  const StudyWindow window;
+  core::AttackEvent event;
+  event.target = net::Ipv4Addr(10, 0, 0, 1);
+  event.start = static_cast<double>(window.start_time()) + 60.0;
+  event.end = event.start + 60.0;
+  event.intensity = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<core::AttackEvent> events{event};
+  const auto snap = query::Snapshot::build(window, events, {pfx2as, geo});
+  const auto call =
+      parse_query_request(request_for("/query?agg=events&k=2"), window);
+  ASSERT_TRUE(call.error.empty()) << call.error;
+  const ApiResponse response = execute_query(*snap, call, {});
+  EXPECT_EQ(response.status, 500);
+  EXPECT_EQ(response.body.find("nan"), std::string::npos) << response.body;
 }
 
 TEST(ApiTest, CanonicalStringDistinguishesEveryParameter) {

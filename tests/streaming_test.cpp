@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/streaming.h"
+#include "query/summary.h"
 #include "sim/scenario.h"
 
 namespace dosm::core {
@@ -231,7 +232,7 @@ TEST_F(StreamingTest, RejectsMinBaselineDaysOutsideRange) {
 }
 
 TEST_F(StreamingTest, MatchesBatchAggregationOnSimulatedWorld) {
-  // The streaming path must agree with the batch daily_breakdown on a
+  // The streaming path must agree with the batch daily summaries on a
   // real simulated event stream.
   const auto world = sim::build_world(sim::ScenarioConfig::small());
   auto fusion = StreamingFusion(
@@ -240,16 +241,17 @@ TEST_F(StreamingTest, MatchesBatchAggregationOnSimulatedWorld) {
   for (const auto& event : world->store.events()) fusion.ingest(event);
   fusion.finish();
 
-  const auto batch = world->store.daily_breakdown(
-      SourceFilter::kCombined, world->population.pfx2as());
+  const auto batch = query::summarize_daily(
+      *query::Snapshot::from_store(
+          world->store,
+          {world->population.pfx2as(), world->population.geo()}),
+      query::Query{});
   ASSERT_LE(summaries_.size(),
             static_cast<std::size_t>(world->window.num_days()));
   for (const auto& summary : summaries_) {
-    EXPECT_DOUBLE_EQ(static_cast<double>(summary.attacks),
-                     batch.attacks.at(summary.day))
-        << "day " << summary.day;
-    EXPECT_DOUBLE_EQ(static_cast<double>(summary.unique_targets),
-                     batch.unique_targets.at(summary.day));
+    const auto& day = batch.at(static_cast<std::size_t>(summary.day));
+    EXPECT_EQ(summary.attacks, day.events) << "day " << summary.day;
+    EXPECT_EQ(summary.unique_targets, day.unique_targets);
   }
   // The campaign days should fire spike alerts on a full run with alerts.
   EXPECT_EQ(fusion.events_ingested(), world->store.size());

@@ -81,6 +81,7 @@
 #include "parallel/workload.h"
 #include "query/engine.h"
 #include "query/snapshot.h"
+#include "query/summary.h"
 #include "serve/api.h"
 #include "serve/server.h"
 #include "serve/subscribe_api.h"
@@ -454,7 +455,7 @@ constexpr std::string_view kDetectUsage =
     "  --pcap F        replay a pcap capture through the batched ingest\n"
     "                  front end (src/ingest) instead of the synthetic\n"
     "                  workload; telescope detection only\n"
-    "  --batch-frames N   frames per ingest batch (default 512)\n"
+    "  --batch-frames N   frames per ingest batch (default 4096)\n"
     "  --ring-capacity N  ingest ring capacity in batches (default 8)\n"
     "  --ring-policy P    block|drop on a full ring (default block;\n"
     "                     drop trades determinism for capture latency)\n"
@@ -1178,7 +1179,8 @@ int main(int argc, char** argv) try {
   std::cerr << "[dosmeter] " << world->store.size() << " detected events ("
             << world->truth.size() << " ground-truth attacks)\n";
 
-  const auto& pfx2as = world->population.pfx2as();
+  const auto snapshot = query::Snapshot::from_store(
+      world->store, {world->population.pfx2as(), world->population.geo()});
   const dps::Classifier classifier(world->providers, world->names);
   const auto timelines = dps::all_timelines(world->dns, classifier);
   const core::ImpactAnalysis impact(world->store, world->dns);
@@ -1193,7 +1195,8 @@ int main(int argc, char** argv) try {
     for (const auto filter :
          {core::SourceFilter::kTelescope, core::SourceFilter::kHoneypot,
           core::SourceFilter::kCombined}) {
-      const auto summary = world->store.summarize(filter, pfx2as);
+      const auto summary =
+          query::summarize(*snapshot, query::Query{}.from_source(filter));
       table.add_row({core::to_string(filter),
                      human_count(double(summary.events)),
                      human_count(double(summary.unique_targets)),
@@ -1229,16 +1232,16 @@ int main(int argc, char** argv) try {
     std::filesystem::create_directories(dir);
 
     // Daily series CSV.
-    const auto breakdown =
-        world->store.daily_breakdown(core::SourceFilter::kCombined, pfx2as);
+    const auto days = query::summarize_daily(*snapshot, query::Query{});
     TextTable daily({"date", "attacks", "unique_targets", "targeted_slash16",
                      "targeted_asns", "affected_sites", "affected_mail"});
-    for (int d = 0; d < breakdown.attacks.num_days(); ++d) {
+    for (int d = 0; d < static_cast<int>(days.size()); ++d) {
+      const auto& day = days[static_cast<std::size_t>(d)];
       daily.add_row({to_string(world->window.date_of_day(d)),
-                     fixed(breakdown.attacks.at(d), 0),
-                     fixed(breakdown.unique_targets.at(d), 0),
-                     fixed(breakdown.targeted_slash16.at(d), 0),
-                     fixed(breakdown.targeted_asns.at(d), 0),
+                     std::to_string(day.events),
+                     std::to_string(day.unique_targets),
+                     std::to_string(day.unique_slash16),
+                     std::to_string(day.unique_asns),
                      fixed(impact.affected_daily().at(d), 0),
                      fixed(mail.affected_daily().at(d), 0)});
     }
