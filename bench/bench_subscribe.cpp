@@ -1,5 +1,7 @@
 // Subscription-layer bench: a million synthetic watchers on the posting
-// index (src/subscribe) vs the scan-all baseline the index replaces.
+// index (src/subscribe) vs the scan-all baseline the index replaces, then
+// the bounded per-subscription queues at their bound vs the vector queue
+// the ring replaced.
 //
 // The subscription mix mirrors what a live deployment of the paper's §9
 // near-realtime loop would carry: mostly exact-victim (/32) watchers, a
@@ -12,13 +14,23 @@
 // subscription count and requires identical match sets in identical order
 // — a timing number can never come from an index that dispatches wrong.
 //
+// The queue phase holds 300 broad (ASN and country) watchers at the
+// default max_pending and times Dispatcher::tick plus one fetch per
+// watcher from its last cursor, per tick of a fixed alert stream — the
+// work perfbench's `live` reports as subscribe.tick_ms and
+// subscribe.fetch_us. The same stream runs through a minimal vector queue
+// (front erase on flush, linear cursor scan); every fetch must agree with
+// it on seqs, coalesced counts, alerts, dropped and pending.
+//
 // Emits BENCH_subscribe.json and fails when the default-size run speeds up
-// dispatch by less than 10x over scan-all.
+// dispatch by less than 10x over scan-all, or tick + fetch by less than 5x
+// over the vector queue.
 //
 //   $ ./bench_subscribe [--smoke] [--out FILE]
-//     --smoke   20k subscriptions + short stream (CI wiring check; the
-//               10x gate only applies to the default size)
+//     --smoke   20k subscriptions + short stream, 30 queue-phase watchers
+//               (CI wiring check; the gates only apply to the default size)
 //     --out F   baseline path (default BENCH_subscribe.json)
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -125,6 +137,235 @@ core::Alert random_alert(Rng& rng) {
 
 double seconds_since(clock_type::time_point t0) {
   return std::chrono::duration<double>(clock_type::now() - t0).count();
+}
+
+// --- Queue phase -------------------------------------------------------
+
+/// The per-subscription queue the ring replaced, kept as the timing
+/// reference and the identity oracle: flush appends the staged
+/// notifications and erases the oldest beyond the bound from the front;
+/// fetch scans the whole queue for seq > cursor.
+class VectorQueues {
+ public:
+  VectorQueues(std::size_t watchers, std::size_t bound)
+      : subs_(watchers), bound_(bound) {}
+
+  /// Stages alert for watcher w, folding a same-victim repeat in the tick.
+  void stage(std::size_t w, const core::Alert& alert) {
+    Sub& sub = subs_[w];
+    for (subscribe::Notification& n : sub.staged) {
+      if (n.alert.event.target == alert.event.target) {
+        ++n.coalesced;
+        return;
+      }
+    }
+    subscribe::Notification n;
+    n.seq = sub.next_seq++;
+    n.alert = alert;
+    sub.staged.push_back(n);
+  }
+
+  void tick() {
+    for (Sub& sub : subs_) {
+      for (subscribe::Notification& n : sub.staged) sub.queue.push_back(n);
+      sub.staged.clear();
+      if (sub.queue.size() > bound_) {
+        const std::size_t excess = sub.queue.size() - bound_;
+        sub.queue.erase(
+            sub.queue.begin(),
+            sub.queue.begin() + static_cast<std::ptrdiff_t>(excess));
+        sub.dropped += excess;
+      }
+    }
+  }
+
+  subscribe::FetchResult fetch(std::size_t w, std::uint64_t cursor,
+                               std::size_t max_items) const {
+    const Sub& sub = subs_[w];
+    subscribe::FetchResult result;
+    result.next_cursor = cursor;
+    result.dropped = sub.dropped;
+    for (const subscribe::Notification& n : sub.queue) {
+      if (n.seq <= cursor) continue;
+      if (result.notifications.size() >= max_items)
+        ++result.pending;
+      else
+        result.notifications.push_back(n);
+    }
+    if (!result.notifications.empty())
+      result.next_cursor = result.notifications.back().seq;
+    return result;
+  }
+
+  std::size_t min_queue() const {
+    std::size_t least = bound_;
+    for (const Sub& sub : subs_) least = std::min(least, sub.queue.size());
+    return least;
+  }
+
+ private:
+  struct Sub {
+    std::vector<subscribe::Notification> queue;
+    std::vector<subscribe::Notification> staged;
+    std::uint64_t next_seq = 1;
+    std::uint64_t dropped = 0;
+  };
+  std::vector<Sub> subs_;
+  std::size_t bound_;
+};
+
+bool same_fetch(const subscribe::FetchResult& a,
+                const subscribe::FetchResult& b) {
+  if (a.next_cursor != b.next_cursor || a.dropped != b.dropped ||
+      a.pending != b.pending ||
+      a.notifications.size() != b.notifications.size())
+    return false;
+  for (std::size_t i = 0; i < a.notifications.size(); ++i) {
+    const subscribe::Notification& x = a.notifications[i];
+    const subscribe::Notification& y = b.notifications[i];
+    if (x.seq != y.seq || x.coalesced != y.coalesced ||
+        x.alert.event.target != y.alert.event.target ||
+        x.alert.event.start != y.alert.event.start ||
+        x.alert.asn != y.alert.asn || x.alert.country != y.alert.country)
+      return false;
+  }
+  return true;
+}
+
+struct QueuePhase {
+  std::size_t watchers = 0;
+  std::size_t bound = 0;
+  std::size_t warmup_ticks = 0;
+  std::size_t timed_ticks = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t dropped = 0;
+  double ring_tick_ms = 0.0;     // per tick
+  double ring_fetch_us = 0.0;    // per fetch
+  double vector_tick_ms = 0.0;
+  double vector_fetch_us = 0.0;
+  double speedup = 0.0;          // vector / ring, tick + fetch per tick
+  bool identical = true;
+};
+
+/// Watchers 0..asns-1 follow one ASN each, the rest one country each; every
+/// alert names one of those ASNs and countries, so it matches exactly two
+/// watchers, and each watcher sees alerts_per_tick / its tier size per
+/// tick. Warm-up ticks run until every watcher's queue is at the bound.
+QueuePhase run_queue_phase(bool smoke) {
+  const std::size_t asns = smoke ? 24 : 240;
+  const std::size_t countries = smoke ? 6 : 60;
+  const std::size_t alerts_per_tick = 1500;
+  // A paged /watch: ticks heavier than a page leave notifications pending.
+  const std::size_t fetch_max = 32;
+  constexpr meta::Asn kAsnBase = 64512;
+
+  QueuePhase phase;
+  phase.watchers = asns + countries;
+  phase.bound = subscribe::DispatcherConfig{}.max_pending;
+  phase.timed_ticks = smoke ? 20 : 200;
+
+  const auto country_code = [](std::size_t j) {
+    const char code[2] = {static_cast<char>('A' + j / 26),
+                          static_cast<char>('A' + j % 26)};
+    return meta::CountryCode(std::string_view(code, 2));
+  };
+  subscribe::Dispatcher dispatcher;
+  std::vector<subscribe::SubscriptionId> ids;
+  for (std::size_t i = 0; i < asns; ++i)
+    ids.push_back(dispatcher.subscribe(subscribe::Predicate{}.match_asn(
+        static_cast<meta::Asn>(kAsnBase + i))));
+  for (std::size_t j = 0; j < countries; ++j)
+    ids.push_back(dispatcher.subscribe(
+        subscribe::Predicate{}.match_country(country_code(j))));
+  VectorQueues reference(phase.watchers, phase.bound);
+
+  Rng rng(0x9e7eu);
+  std::vector<core::Alert> batch;
+  std::vector<std::pair<std::size_t, std::size_t>> targets;  // (asn, country)
+  std::vector<std::uint64_t> cursors(phase.watchers, 0);
+  std::vector<subscribe::FetchResult> via_ring(phase.watchers);
+  std::vector<subscribe::FetchResult> via_vector(phase.watchers);
+  double ring_tick_s = 0.0, ring_fetch_s = 0.0;
+  double vector_tick_s = 0.0, vector_fetch_s = 0.0;
+  std::size_t timed_done = 0;
+  for (std::size_t t = 0; timed_done < phase.timed_ticks; ++t) {
+    const bool timed = phase.warmup_ticks != 0;
+    batch.clear();
+    targets.clear();
+    for (std::size_t i = 0; i < alerts_per_tick; ++i) {
+      if (!batch.empty() && rng.bernoulli(0.05)) {
+        // A repeat victim within the tick: it coalesces.
+        const std::size_t k = rng.next_below(batch.size());
+        batch.push_back(batch[k]);
+        targets.push_back(targets[k]);
+        continue;
+      }
+      const std::size_t a = rng.next_below(asns);
+      const std::size_t c = rng.next_below(countries);
+      core::AttackEvent event;
+      const auto victim =
+          static_cast<std::uint32_t>(rng.next_below(kVictimSpace));
+      event.target = net::Ipv4Addr{kVictimBase + victim};
+      event.start = static_cast<double>(t * alerts_per_tick + i);
+      event.end = event.start + 600.0;
+      event.intensity = 10.0;
+      batch.push_back(core::event_alert(event, static_cast<int>(t % 731),
+                                        static_cast<meta::Asn>(kAsnBase + a),
+                                        country_code(c)));
+      targets.emplace_back(a, c);
+    }
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      dispatcher.on_alert(batch[i]);
+      reference.stage(targets[i].first, batch[i]);
+      reference.stage(asns + targets[i].second, batch[i]);
+    }
+
+    auto t0 = clock_type::now();
+    dispatcher.tick();
+    auto t1 = clock_type::now();
+    for (std::size_t w = 0; w < phase.watchers; ++w)
+      via_ring[w] = *dispatcher.fetch(ids[w], cursors[w], fetch_max);
+    auto t2 = clock_type::now();
+    if (timed) {
+      ring_tick_s += std::chrono::duration<double>(t1 - t0).count();
+      ring_fetch_s += std::chrono::duration<double>(t2 - t1).count();
+    }
+
+    t0 = clock_type::now();
+    reference.tick();
+    t1 = clock_type::now();
+    for (std::size_t w = 0; w < phase.watchers; ++w)
+      via_vector[w] = reference.fetch(w, cursors[w], fetch_max);
+    t2 = clock_type::now();
+    if (timed) {
+      vector_tick_s += std::chrono::duration<double>(t1 - t0).count();
+      vector_fetch_s += std::chrono::duration<double>(t2 - t1).count();
+    }
+
+    for (std::size_t w = 0; w < phase.watchers; ++w) {
+      if (!same_fetch(via_ring[w], via_vector[w])) phase.identical = false;
+      cursors[w] = via_ring[w].next_cursor;
+      if (timed) phase.delivered += via_ring[w].notifications.size();
+    }
+    if (!phase.identical) return phase;
+    if (timed)
+      ++timed_done;
+    else if (reference.min_queue() == phase.bound)
+      phase.warmup_ticks = t + 1;
+  }
+  for (std::size_t w = 0; w < phase.watchers; ++w)
+    phase.dropped += via_ring[w].dropped;
+
+  const auto ticks = static_cast<double>(phase.timed_ticks);
+  const auto fetches = ticks * static_cast<double>(phase.watchers);
+  phase.ring_tick_ms = ring_tick_s * 1e3 / ticks;
+  phase.ring_fetch_us = ring_fetch_s * 1e6 / fetches;
+  phase.vector_tick_ms = vector_tick_s * 1e3 / ticks;
+  phase.vector_fetch_us = vector_fetch_s * 1e6 / fetches;
+  const double ring_s = ring_tick_s + ring_fetch_s;
+  phase.speedup =
+      ring_s > 0.0 ? (vector_tick_s + vector_fetch_s) / ring_s : 0.0;
+  return phase;
 }
 
 int run(int argc, char** argv) {
@@ -243,6 +484,18 @@ int run(int argc, char** argv) {
   const double alerts_per_s =
       static_cast<double>(dispatch_alerts) / dispatch_s;
 
+  // --- Bounded queues at their bound: tick + fetch, ring vs vector ------
+  const QueuePhase queues = run_queue_phase(smoke);
+  if (!queues.identical) {
+    std::cerr << "bench_subscribe: queue identity check FAILED (the ring "
+                 "and the vector queue fetched different results)\n";
+    return 1;
+  }
+  std::cout << "queue identity check: " << queues.watchers << " watchers x "
+            << queues.warmup_ticks + queues.timed_ticks
+            << " ticks fetch identically through the ring and the vector "
+               "queue\n";
+
   TextTable table({"metric", "value"});
   table.add_row({"subscriptions", std::to_string(total)});
   table.add_row({"scan_list", std::to_string(index.scan_list_size())});
@@ -254,6 +507,16 @@ int run(int argc, char** argv) {
                            static_cast<double>(stream.size()),
                        1)});
   table.add_row({"dispatch_alerts_per_s", fixed(alerts_per_s, 0)});
+  table.add_row({"queue_watchers_at_bound",
+                 std::to_string(queues.watchers) + " x " +
+                     std::to_string(queues.bound)});
+  table.add_row({"ring_tick_ms (perfbench subscribe.tick_ms)",
+                 fixed(queues.ring_tick_ms, 3)});
+  table.add_row({"ring_fetch_us (perfbench subscribe.fetch_us)",
+                 fixed(queues.ring_fetch_us, 2)});
+  table.add_row({"vector_tick_ms", fixed(queues.vector_tick_ms, 3)});
+  table.add_row({"vector_fetch_us", fixed(queues.vector_fetch_us, 2)});
+  table.add_row({"queue_speedup", fixed(queues.speedup, 1) + "x"});
   std::cout << table;
 
   JsonWriter json;
@@ -275,15 +538,35 @@ int run(int argc, char** argv) {
       .key("dispatch_alerts").value(static_cast<std::uint64_t>(dispatch_alerts))
       .key("dispatch_alerts_per_s").value(alerts_per_s)
       .key("dispatched_total").value(dispatcher.alerts_dispatched())
+      .key("queue_identity_check").value(true)
+      .key("queue_watchers").value(static_cast<std::uint64_t>(queues.watchers))
+      .key("queue_bound").value(static_cast<std::uint64_t>(queues.bound))
+      .key("queue_warmup_ticks")
+      .value(static_cast<std::uint64_t>(queues.warmup_ticks))
+      .key("queue_timed_ticks")
+      .value(static_cast<std::uint64_t>(queues.timed_ticks))
+      .key("queue_delivered").value(queues.delivered)
+      .key("queue_dropped").value(queues.dropped)
+      .key("ring_tick_ms").value(queues.ring_tick_ms)
+      .key("ring_fetch_us").value(queues.ring_fetch_us)
+      .key("vector_tick_ms").value(queues.vector_tick_ms)
+      .key("vector_fetch_us").value(queues.vector_fetch_us)
+      .key("queue_speedup").value(queues.speedup)
       .end_object();
   bench::write_json(out_path, json);
 
+  int status = 0;
   if (!smoke && speedup < 10.0) {
     std::cerr << "bench_subscribe: " << fixed(speedup, 1)
               << "x is below the 10x index-vs-scan-all baseline\n";
-    return 1;
+    status = 1;
   }
-  return 0;
+  if (!smoke && queues.speedup < 5.0) {
+    std::cerr << "bench_subscribe: tick + fetch is " << fixed(queues.speedup, 1)
+              << "x the vector queue, below the 5x baseline\n";
+    status = 1;
+  }
+  return status;
 }
 
 }  // namespace

@@ -12,14 +12,14 @@
 // the sequential detector's output in canonical order. Two details make
 // this exact rather than approximate:
 //
-//  * Telescope flow expiry is driven by a lazy sweep whose cadence depends
-//    on the timestamps of *all* packets (FlowTable sweeps at most once per
-//    60 s of stream time). Each worker therefore scans the entire packet
-//    stream, feeding `add` for its own shard's backscatter and `advance`
-//    for everything else, so every shard's sweep schedule — and hence flow
-//    splitting — matches the sequential table exactly. The scan is cheap
-//    (backscatter test + one hash); the per-flow state updates, which
-//    dominate, are what gets divided N ways.
+//  * A telescope flow ends on its victim's own gap (FlowTable::add), so a
+//    shard's flow splits never depend on other shards' packets. Each
+//    worker still scans the entire packet stream, feeding `add` for its
+//    own shard's backscatter and `advance` for everything else, which
+//    keeps every shard's lazy sweep (memory reclaim only) on the
+//    sequential cadence. The scan is cheap (backscatter test + one hash);
+//    the per-flow state updates, which dominate, are what gets divided N
+//    ways.
 //
 //  * Events are merged on the totally-ordered key (start, victim
 //    [, protocol]); victims are unique to a shard, so no cross-shard ties

@@ -278,8 +278,8 @@ void encode_double_block(ByteWriter& out, std::span<const double> block) {
     best.u8(static_cast<std::uint8_t>(scale));
     std::int64_t prev = 0;
     for (const double v : block) {
-      const auto cur =
-          static_cast<std::int64_t>(std::llrint(v * kScales[scale]));
+      const double scaled = v * kScales[static_cast<std::size_t>(scale)];
+      const auto cur = static_cast<std::int64_t>(std::llrint(scaled));
       best.varint(zigzag_encode(cur - prev));
       prev = cur;
     }

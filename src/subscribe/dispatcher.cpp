@@ -56,9 +56,11 @@ bool Dispatcher::unsubscribe(SubscriptionId id) {
     if (sub == nullptr) return false;
     index_.erase(id, sub->predicate);
     sub->active = false;
-    pending_total_ -= sub->queue.size();
-    sub->queue.clear();
-    sub->queue.shrink_to_fit();
+    pending_total_ -= sub->count;
+    sub->ring.clear();
+    sub->ring.shrink_to_fit();
+    sub->head = 0;
+    sub->count = 0;
     sub->staged.clear();
     sub->staged.shrink_to_fit();
     --active_count_;
@@ -128,6 +130,33 @@ void Dispatcher::dispatch_locked(const core::Alert& alert) {
   }
 }
 
+std::size_t Dispatcher::flush_locked(Subscription& sub) {
+  const std::size_t bound = config_.max_pending;
+  const std::size_t staged = sub.staged.size();
+  // Staged notifications the bound would evict at once are never copied;
+  // their seqs are consumed all the same.
+  const std::size_t skipped = staged > bound ? staged - bound : 0;
+  const std::size_t kept = staged - skipped;
+  const std::size_t evicted =
+      sub.count + kept > bound ? sub.count + kept - bound : 0;
+  if (evicted != 0) {
+    sub.head = (sub.head + evicted) % sub.ring.size();
+    sub.count -= evicted;
+  }
+  if (sub.count + kept > sub.ring.size()) {
+    std::size_t size = std::max<std::size_t>(sub.ring.size(), 8);
+    while (size < sub.count + kept) size *= 2;
+    std::vector<Notification> grown(std::min(size, bound));
+    for (std::size_t i = 0; i < sub.count; ++i) grown[i] = sub.at(i);
+    sub.ring = std::move(grown);
+    sub.head = 0;
+  }
+  for (std::size_t i = skipped; i < staged; ++i)
+    sub.at(sub.count++) = sub.staged[i];
+  sub.staged.clear();
+  return skipped + evicted;
+}
+
 void Dispatcher::tick() {
   Metrics& metrics = Metrics::get();
   bool flushed = false;
@@ -142,16 +171,11 @@ void Dispatcher::tick() {
       if (!sub.active) continue;  // unsubscribed mid-tick; already cleared
       metrics.enqueued.add(static_cast<std::uint64_t>(sub.staged.size()));
       pending_total_ += sub.staged.size();
-      for (Notification& staged : sub.staged)
-        sub.queue.push_back(std::move(staged));
-      sub.staged.clear();
-      if (sub.queue.size() > config_.max_pending) {
-        const std::size_t excess = sub.queue.size() - config_.max_pending;
-        sub.queue.erase(sub.queue.begin(),
-                        sub.queue.begin() + static_cast<std::ptrdiff_t>(excess));
-        sub.dropped += excess;
-        pending_total_ -= excess;
-        metrics.dropped.add(static_cast<std::uint64_t>(excess));
+      const std::size_t dropped = flush_locked(sub);
+      if (dropped != 0) {
+        sub.dropped += dropped;
+        pending_total_ -= dropped;
+        metrics.dropped.add(static_cast<std::uint64_t>(dropped));
       }
     }
     flushed = !dirty_.empty();
@@ -171,7 +195,7 @@ std::optional<FetchResult> Dispatcher::fetch(SubscriptionId id,
   Subscription* sub = find_locked(id);
   if (sub == nullptr) return std::nullopt;
   const auto has_delta = [](const Subscription& s, std::uint64_t after) {
-    return !s.queue.empty() && s.queue.back().seq > after;
+    return s.count != 0 && s.at(s.count - 1).seq > after;
   };
   if (wait_ms > 0 && !has_delta(*sub, cursor)) {
     data_ready_.wait_for(lock, std::chrono::milliseconds(wait_ms),
@@ -185,16 +209,25 @@ std::optional<FetchResult> Dispatcher::fetch(SubscriptionId id,
   FetchResult result;
   result.next_cursor = cursor;
   result.dropped = sub->dropped;
-  for (const Notification& notification : sub->queue) {
-    if (notification.seq <= cursor) continue;
-    if (max_items != 0 && result.notifications.size() >= max_items) {
-      ++result.pending;
-      continue;
-    }
-    result.notifications.push_back(notification);
+  if (sub->count != 0) {
+    // Seqs are contiguous, so the first entry past the cursor sits at
+    // cursor - first + 1, clamped to [0, count].
+    const std::uint64_t first = sub->at(0).seq;
+    const std::uint64_t last = first + (sub->count - 1);
+    std::size_t begin = 0;
+    if (cursor >= last)
+      begin = sub->count;
+    else if (cursor >= first)
+      begin = static_cast<std::size_t>(cursor - first + 1);
+    const std::size_t available = sub->count - begin;
+    const std::size_t taken =
+        max_items == 0 ? available : std::min(available, max_items);
+    result.notifications.reserve(taken);
+    for (std::size_t i = 0; i < taken; ++i)
+      result.notifications.push_back(sub->at(begin + i));
+    result.pending = available - taken;
+    if (taken != 0) result.next_cursor = result.notifications.back().seq;
   }
-  if (!result.notifications.empty())
-    result.next_cursor = result.notifications.back().seq;
   metrics.delivered.add(
       static_cast<std::uint64_t>(result.notifications.size()));
   return result;

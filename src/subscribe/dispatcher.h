@@ -10,8 +10,14 @@
 // Dispatch pipeline, all under one mutex:
 //
 //   ingest/on_alert ─▶ SubscriptionIndex::match ─▶ stage (coalesce) ─▶
-//   tick() ─▶ per-subscription queue (drop-oldest at the bound) ─▶
+//   tick() ─▶ per-subscription ring (drop-oldest at the bound) ─▶
 //   fetch(cursor) long-poll
+//
+// A subscription's flushed notifications hold contiguous seqs (staging
+// assigns them in order, eviction only ever takes the oldest), so each
+// queue is a bounded ring: tick evicts by advancing its head, in time
+// proportional to what it evicts and enqueues, and fetch finds its cursor
+// by index arithmetic rather than by scanning.
 //
 // Contracts:
 //  * Deterministic notification order — alerts dispatch in arrival order
@@ -123,13 +129,28 @@ class Dispatcher final : public core::AlertSink {
   struct Subscription {
     Predicate predicate;
     bool active = false;
-    std::vector<Notification> queue;   // flushed, ascending seq
+    // Flushed notifications: `count` entries with contiguous ascending
+    // seqs, the oldest at ring[head], wrapping at ring.size(). The ring
+    // grows by doubling from 8 up to max_pending, so light watchers stay
+    // small.
+    std::vector<Notification> ring;
+    std::size_t head = 0;
+    std::size_t count = 0;
     std::vector<Notification> staged;  // open tick, pre-flush
     std::uint64_t next_seq = 1;
     std::uint64_t dropped = 0;
+
+    /// The i-th oldest flushed notification (i < count).
+    const Notification& at(std::size_t i) const {
+      return ring[(head + i) % ring.size()];
+    }
+    Notification& at(std::size_t i) { return ring[(head + i) % ring.size()]; }
   };
 
   void dispatch_locked(const core::Alert& alert);
+  /// Moves sub's staged notifications into its ring, dropping the oldest
+  /// beyond max_pending; returns how many were dropped.
+  std::size_t flush_locked(Subscription& sub);
   /// Active subscription for id, else nullptr. Pointer invalidated by any
   /// unlock (subscribe() may grow subs_) — re-resolve after waits.
   Subscription* find_locked(SubscriptionId id);

@@ -32,7 +32,7 @@ struct Metrics {
           reg.counter("telescope.flows_opened",
                       "Per-victim flows opened in the flow table"),
           reg.counter("telescope.flows_swept",
-                      "Flows closed by inactivity-timeout sweep"),
+                      "Flows closed by the inactivity timeout"),
           reg.counter("telescope.flows_flushed",
                       "Flows closed at end of trace"),
           reg.counter("telescope.events_emitted",
@@ -88,6 +88,13 @@ void FlowTable::add(double ts, const BackscatterInfo& info, std::uint16_t ip_len
                     net::Ipv4Addr telescope_dst) {
   sweep(ts);
   Flow& flow = flows_[info.victim];
+  // The victim's own gap ends its flow, whatever other traffic has (or has
+  // not) triggered a sweep meanwhile.
+  if (flow.packets != 0 && ts - flow.last_ts > flow_timeout_s_) {
+    Metrics::get().flows_swept.inc();
+    on_flow_(finalize(info.victim, flow));
+    flow = Flow{};
+  }
   if (flow.packets == 0) {
     flow.first_ts = ts;
     Metrics::get().flows_opened.inc();
@@ -124,9 +131,9 @@ void FlowTable::add(double ts, const BackscatterInfo& info, std::uint16_t ip_len
 void FlowTable::advance(double now) { sweep(now); }
 
 void FlowTable::sweep(double now) {
-  // Sweep at most once per 60 simulated seconds; packets arrive in
-  // non-decreasing time order so lazy expiry is exact to within the sweep
-  // granularity (and exact at flush()).
+  // Sweep at most once per 60 simulated seconds. add() splits a victim's
+  // flow on its own gap, so the sweep decides only when an expired flow is
+  // emitted and its memory reclaimed, never where a flow ends.
   if (now - last_sweep_ < 60.0) return;
   last_sweep_ = now;
   for (auto it = flows_.begin(); it != flows_.end();) {

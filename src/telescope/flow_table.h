@@ -59,9 +59,12 @@ bool passes_thresholds_recorded(const TelescopeEvent& event,
 
 /// Aggregates classified backscatter into flows and emits expired flows.
 ///
-/// Flows are keyed by victim address. Expiry is checked lazily as packet
-/// timestamps advance (packets must be fed in non-decreasing time order,
-/// which holds for both live capture and pcap replay).
+/// Flows are keyed by victim address. A victim's packet arriving more than
+/// the timeout after its flow's last packet closes that flow first, so the
+/// split depends only on the victim's own traffic. Idle flows are also
+/// expired lazily as packet timestamps advance, which emits them earlier
+/// and frees their memory (packets must be fed in non-decreasing time
+/// order, which holds for both live capture and pcap replay).
 class FlowTable {
  public:
   using FlowCallback = std::function<void(const TelescopeEvent&)>;

@@ -1,6 +1,9 @@
 // Flow aggregation and Moore-threshold classification tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <tuple>
 #include <vector>
 
 #include "telescope/flow_table.h"
@@ -301,6 +304,118 @@ TEST(FlowTable, AttackProtoTieBreaksTowardLowestProto) {
   table.flush();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].attack_proto, 6);
+}
+
+
+// Property: a victim's events depend only on that victim's traffic. The
+// sweep that expires idle flows runs at most once per 60 s of stream time
+// and is triggered by any packet, so before flows split on the victim's own
+// gap, a foreign packet stream could move a sweep past the victim's return
+// and fold two attacks into one (or leave them split when alone).
+
+net::PacketRecord backscatter_from(Ipv4Addr victim, double ts) {
+  net::PacketRecord rec;
+  rec.ts_sec = static_cast<UnixSeconds>(std::floor(ts));
+  rec.ts_usec = static_cast<std::uint32_t>((ts - std::floor(ts)) * 1e6);
+  rec.src = victim;
+  rec.dst = Ipv4Addr(44, 0, 0, static_cast<std::uint8_t>(ts));
+  rec.proto = static_cast<std::uint8_t>(IpProto::kTcp);
+  rec.src_port = 80;
+  rec.tcp_flags = net::tcp_flags::kSyn | net::tcp_flags::kAck;
+  rec.ip_len = 40;
+  return rec;
+}
+
+net::PacketRecord scan_at(double ts) {
+  net::PacketRecord rec = backscatter_from(Ipv4Addr(6, 6, 6, 6), ts);
+  rec.tcp_flags = net::tcp_flags::kSyn;  // not backscatter
+  return rec;
+}
+
+/// Victim V's packets: on-periods of `on_s` seconds at 1 pps, separated by
+/// `gap_s` seconds of silence (measured from last to first packet).
+std::vector<net::PacketRecord> pulses(Ipv4Addr victim, int count, int on_s,
+                                      double gap_s) {
+  std::vector<net::PacketRecord> out;
+  double t = 1000.0;
+  for (int p = 0; p < count; ++p) {
+    for (int i = 0; i < on_s; ++i)
+      out.push_back(backscatter_from(victim, t + i));
+    t += (on_s - 1) + gap_s;
+  }
+  return out;
+}
+
+using EventKey = std::tuple<double, double, std::uint64_t, std::uint64_t,
+                            std::uint32_t, std::uint16_t, std::uint16_t,
+                            std::uint8_t, double>;
+
+/// Every flow the detector closes for `victim`, in start order.
+std::vector<EventKey> victim_events(std::vector<net::PacketRecord> packets,
+                                    Ipv4Addr victim) {
+  std::stable_sort(packets.begin(), packets.end(),
+                   [](const net::PacketRecord& a, const net::PacketRecord& b) {
+                     return a.timestamp() < b.timestamp();
+                   });
+  std::vector<EventKey> events;
+  // Zero thresholds: every closed flow is an event, so the test sees the
+  // split itself rather than what the classifier keeps of it.
+  BackscatterDetector detector(
+      [&](const TelescopeEvent& e) {
+        if (e.victim != victim) return;
+        events.emplace_back(e.start, e.end, e.packets, e.bytes,
+                            e.unique_sources, e.num_ports, e.top_port,
+                            e.attack_proto, e.max_pps);
+      },
+      ClassifierThresholds{0, 0.0, 0.0});
+  for (const auto& rec : packets) detector.on_packet(rec);
+  detector.finish();
+  std::sort(events.begin(), events.end());
+  return events;
+}
+
+/// V's packets alone, then with each kind of foreign traffic mixed in from
+/// the first packet to past the last: another victim's backscatter at
+/// 1 pps, non-backscatter scans at 1 pps, and both at once.
+void expect_independent_of_other_traffic(
+    const std::vector<net::PacketRecord>& own, std::size_t expected_events) {
+  const Ipv4Addr victim = own.front().src;
+  const auto alone = victim_events(own, victim);
+  EXPECT_EQ(alone.size(), expected_events);
+  const double first = own.front().timestamp();
+  const double last = own.back().timestamp();
+  std::vector<net::PacketRecord> other_victim = own;
+  std::vector<net::PacketRecord> scans = own;
+  std::vector<net::PacketRecord> both = own;
+  for (double t = first - 30.0; t <= last + 30.0; t += 1.0) {
+    other_victim.push_back(backscatter_from(Ipv4Addr(9, 9, 9, 9), t));
+    scans.push_back(scan_at(t + 0.5));
+    both.push_back(backscatter_from(Ipv4Addr(9, 9, 9, 9), t));
+    both.push_back(scan_at(t + 0.5));
+  }
+  EXPECT_EQ(victim_events(other_victim, victim), alone) << "other victims";
+  EXPECT_EQ(victim_events(scans, victim), alone) << "non-backscatter";
+  EXPECT_EQ(victim_events(both, victim), alone) << "both";
+}
+
+TEST(FlowTable, VictimSplitIgnoresOtherTraffic) {
+  const Ipv4Addr victim(1, 1, 1, 1);
+  // Gaps just under, just over, and straddling one sweep interval past the
+  // 300 s timeout.
+  for (const double gap : {290.0, 310.0, 359.0, 361.0}) {
+    SCOPED_TRACE(gap);
+    expect_independent_of_other_traffic(pulses(victim, 2, 61, gap),
+                                        gap > 300.0 ? 2u : 1u);
+  }
+}
+
+TEST(FlowTable, PulseTrainSplitIgnoresOtherTraffic) {
+  // Pulse-wave attack: 30 s on, 320 s off, six times. Each pulse is its own
+  // attack under the 300 s per-victim timeout.
+  const Ipv4Addr victim(1, 1, 1, 1);
+  expect_independent_of_other_traffic(pulses(victim, 6, 30, 320.0), 6u);
+  // 30 s on, 250 s off: one long attack.
+  expect_independent_of_other_traffic(pulses(victim, 6, 30, 250.0), 1u);
 }
 
 }  // namespace

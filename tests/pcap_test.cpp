@@ -1,6 +1,7 @@
 // pcap reader/writer tests, including byte-swapped and Ethernet captures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -191,12 +192,14 @@ TEST(Pcap, VlanTaggedFramesAreDecoded) {
   std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
   PcapWriter writer(stream, kLinkTypeEthernet);
   const auto ip = encode_packet(sample_packet(1));
+  // Sized once and filled by copy: GCC 12 misreads an inlined range insert
+  // into a short vector as an out-of-bounds memcpy (-Warray-bounds).
   auto tagged = [&](std::vector<std::uint8_t> tags) {
-    std::vector<std::uint8_t> frame(12, 0);
-    frame.insert(frame.end(), tags.begin(), tags.end());
-    frame.push_back(0x08);  // inner EtherType IPv4
-    frame.push_back(0x00);
-    frame.insert(frame.end(), ip.begin(), ip.end());
+    std::vector<std::uint8_t> frame(12 + tags.size() + 2 + ip.size(), 0);
+    auto pos = std::copy(tags.begin(), tags.end(), frame.begin() + 12);
+    *pos++ = 0x08;  // inner EtherType IPv4
+    *pos++ = 0x00;
+    std::copy(ip.begin(), ip.end(), pos);
     return frame;
   };
   // 802.1Q single tag.

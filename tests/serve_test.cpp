@@ -818,7 +818,8 @@ TEST(ServeStressTest, ConcurrentClientsDuringPublishes) {
       };
       const int fd = connect_to(server.port());
       for (int i = 0; i < kRequestsPerClient; ++i) {
-        const std::string response = fetch(fd, mix[i % mix.size()]);
+        const std::string response =
+            fetch(fd, mix[static_cast<std::size_t>(i) % mix.size()]);
         if (status_of(response) != 200 ||
             body_of(response).find("\"snapshot_version\":") ==
                 std::string::npos)
@@ -920,6 +921,22 @@ TEST(SubscribeServerTest, SubscribeWatchUnsubscribeLifecycle) {
   const std::string drained = roundtrip(
       server.port(), "GET", "/watch?id=" + std::to_string(id) + "&cursor=1");
   EXPECT_NE(body_of(drained).find("\"notifications\":[]"), std::string::npos);
+
+  // A cursor far past the newest seq (UINT64_MAX) is clamped, not wrapped:
+  // nothing delivered, the cursor echoed back, nothing pending.
+  const std::string hostile = roundtrip(
+      server.port(), "GET",
+      "/watch?id=" + std::to_string(id) +
+          "&cursor=18446744073709551615&wait_ms=0");
+  ASSERT_EQ(status_of(hostile), 200) << hostile;
+  const std::string hostile_body = body_of(hostile);
+  EXPECT_NE(hostile_body.find("\"notifications\":[]"), std::string::npos)
+      << hostile_body;
+  EXPECT_NE(hostile_body.find("\"next_cursor\":18446744073709551615"),
+            std::string::npos)
+      << hostile_body;
+  EXPECT_NE(hostile_body.find("\"pending\":0"), std::string::npos)
+      << hostile_body;
 
   const std::string removed = roundtrip(server.port(), "DELETE",
                                         "/subscribe?id=" + std::to_string(id));

@@ -115,8 +115,9 @@ std::vector<double> f64_round_trip(const std::vector<double>& values) {
 void expect_bit_identical(const std::vector<double>& a,
                           const std::vector<double>& b) {
   ASSERT_EQ(a.size(), b.size());
-  if (!a.empty())
+  if (!a.empty()) {
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+  }
 }
 
 TEST(CodecTest, DoubleShapesRoundTripBitExactly) {
@@ -182,8 +183,9 @@ std::shared_ptr<const query::Snapshot> world_snapshot(
 template <typename T>
 void expect_column_identical(std::span<const T> a, std::span<const T> b) {
   ASSERT_EQ(a.size(), b.size());
-  if (!a.empty())
+  if (!a.empty()) {
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0);
+  }
 }
 
 TEST(ArchiveTest, RoundTripIsBitIdentical) {

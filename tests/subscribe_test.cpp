@@ -4,6 +4,9 @@
 // coalescing, drop policy, cursor determinism, long-poll wake.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "core/alert.h"
 #include "subscribe/dispatcher.h"
 #include "subscribe/index.h"
+#include "subscribe/metrics.h"
 #include "subscribe/oracle.h"
 #include "subscribe/subscription.h"
 
@@ -393,6 +397,339 @@ TEST(DispatcherTest, LifecycleEdges) {
   EXPECT_FALSE(dispatcher.fetch(id, 0, 0).has_value());
   // Ids are never reused after an unsubscribe.
   EXPECT_GT(dispatcher.subscribe(Predicate{}), id);
+}
+
+
+// ---------------------------------------------------------------------------
+// The queue ring against a naive vector queue, in lockstep.
+// ---------------------------------------------------------------------------
+
+/// The dispatcher's delivery semantics with the simplest queue: flush
+/// appends every staged notification and erases the oldest beyond the
+/// bound; fetch scans the whole queue for seq > cursor.
+class NaiveDispatcher {
+ public:
+  explicit NaiveDispatcher(std::size_t bound) : bound_(bound) {}
+
+  SubscriptionId subscribe(const Predicate& predicate) {
+    Sub sub;
+    sub.predicate = predicate;
+    subs_.push_back(std::move(sub));
+    return static_cast<SubscriptionId>(subs_.size());
+  }
+
+  void unsubscribe(SubscriptionId id) { subs_[id - 1].active = false; }
+
+  void on_alert(const core::Alert& alert) {
+    for (Sub& sub : subs_) {
+      if (!sub.active || !sub.predicate.matches(alert)) continue;
+      const auto same = std::find_if(
+          sub.staged.begin(), sub.staged.end(), [&](const Notification& n) {
+            if (n.alert.kind != alert.kind ||
+                n.alert.has_event != alert.has_event)
+              return false;
+            return alert.has_event ? n.alert.event.target == alert.event.target
+                                   : n.alert.day == alert.day;
+          });
+      if (same != sub.staged.end()) {
+        ++same->coalesced;
+        continue;
+      }
+      Notification n;
+      n.seq = sub.next_seq++;
+      n.alert = alert;
+      sub.staged.push_back(n);
+    }
+  }
+
+  void tick() {
+    for (Sub& sub : subs_) {
+      if (!sub.active) continue;
+      sub.queue.insert(sub.queue.end(), sub.staged.begin(), sub.staged.end());
+      sub.staged.clear();
+      if (sub.queue.size() > bound_) {
+        const std::size_t excess = sub.queue.size() - bound_;
+        sub.queue.erase(
+            sub.queue.begin(),
+            sub.queue.begin() + static_cast<std::ptrdiff_t>(excess));
+        sub.dropped += excess;
+        dropped_total_ += excess;
+      }
+    }
+  }
+
+  std::optional<FetchResult> fetch(SubscriptionId id, std::uint64_t cursor,
+                                   std::size_t max_items) const {
+    const Sub& sub = subs_[id - 1];
+    if (!sub.active) return std::nullopt;
+    FetchResult result;
+    result.next_cursor = cursor;
+    result.dropped = sub.dropped;
+    for (const Notification& n : sub.queue) {
+      if (n.seq <= cursor) continue;
+      if (max_items != 0 && result.notifications.size() >= max_items)
+        ++result.pending;
+      else
+        result.notifications.push_back(n);
+    }
+    if (!result.notifications.empty())
+      result.next_cursor = result.notifications.back().seq;
+    return result;
+  }
+
+  std::uint64_t pending_total() const {
+    std::uint64_t total = 0;
+    for (const Sub& sub : subs_)
+      if (sub.active) total += sub.queue.size();
+    return total;
+  }
+  std::uint64_t dropped_total() const { return dropped_total_; }
+  std::size_t size() const { return subs_.size(); }
+  bool active(SubscriptionId id) const { return subs_[id - 1].active; }
+  /// Oldest retained and newest flushed seq (0, 0 when empty).
+  std::pair<std::uint64_t, std::uint64_t> span(SubscriptionId id) const {
+    const Sub& sub = subs_[id - 1];
+    if (sub.queue.empty()) return {0, 0};
+    return {sub.queue.front().seq, sub.queue.back().seq};
+  }
+
+ private:
+  struct Sub {
+    Predicate predicate;
+    bool active = true;
+    std::vector<Notification> queue;
+    std::vector<Notification> staged;
+    std::uint64_t next_seq = 1;
+    std::uint64_t dropped = 0;
+  };
+  std::size_t bound_;
+  std::vector<Sub> subs_;
+  std::uint64_t dropped_total_ = 0;
+};
+
+void expect_same_fetch(const std::optional<FetchResult>& got,
+                       const std::optional<FetchResult>& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << where;
+  if (!got) return;
+  ASSERT_EQ(got->notifications.size(), want->notifications.size()) << where;
+  EXPECT_EQ(got->next_cursor, want->next_cursor) << where;
+  EXPECT_EQ(got->dropped, want->dropped) << where;
+  EXPECT_EQ(got->pending, want->pending) << where;
+  for (std::size_t i = 0; i < got->notifications.size(); ++i) {
+    const Notification& a = got->notifications[i];
+    const Notification& b = want->notifications[i];
+    ASSERT_EQ(a.seq, b.seq) << where << " item " << i;
+    EXPECT_EQ(a.coalesced, b.coalesced) << where << " item " << i;
+    EXPECT_EQ(a.alert.kind, b.alert.kind) << where << " item " << i;
+    EXPECT_EQ(a.alert.day, b.alert.day) << where << " item " << i;
+    EXPECT_EQ(a.alert.has_event, b.alert.has_event) << where << " item " << i;
+    EXPECT_EQ(a.alert.event.target, b.alert.event.target)
+        << where << " item " << i;
+    EXPECT_EQ(a.alert.event.start, b.alert.event.start)
+        << where << " item " << i;
+  }
+}
+
+/// Compares fetches at cursors around every interesting point: before,
+/// at and past the retained span, random ones, and UINT64_MAX; then pages
+/// through the whole queue with a small max, which crosses the ring's wrap
+/// point once the head has moved.
+void expect_same_queues(Dispatcher& ring, const NaiveDispatcher& naive,
+                        Rng& rng, std::size_t bound, const std::string& step) {
+  for (SubscriptionId id = 1; id <= naive.size(); ++id) {
+    const std::string where = step + " sub " + std::to_string(id);
+    if (!naive.active(id)) {
+      EXPECT_FALSE(ring.fetch(id, 0, 0).has_value()) << where;
+      continue;
+    }
+    const auto [oldest, newest] = naive.span(id);
+    std::vector<std::uint64_t> cursors = {
+        0, oldest, newest, newest + 1, newest + 7,
+        std::numeric_limits<std::uint64_t>::max(),
+        rng.next_below(newest + 3)};
+    if (oldest > 0) cursors.push_back(oldest - 1);
+    for (const std::uint64_t cursor : cursors) {
+      for (const std::size_t max :
+           {std::size_t{0}, std::size_t{1},
+            std::size_t{1} + rng.next_below(bound + 2)}) {
+        expect_same_fetch(ring.fetch(id, cursor, max),
+                          naive.fetch(id, cursor, max),
+                          where + " cursor " + std::to_string(cursor) +
+                              " max " + std::to_string(max));
+      }
+    }
+    const std::size_t page = 1 + rng.next_below(bound / 3 + 1);
+    std::uint64_t cursor = 0;
+    for (;;) {
+      const auto want = naive.fetch(id, cursor, page);
+      expect_same_fetch(ring.fetch(id, cursor, page), want,
+                        where + " page from " + std::to_string(cursor));
+      if (::testing::Test::HasFailure() || want->notifications.empty()) break;
+      cursor = want->next_cursor;
+    }
+  }
+}
+
+class RingDifferential : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RingDifferential, MatchesTheNaiveVectorQueue) {
+  const std::size_t bound = GetParam();
+  Rng rng(0x5eedu + bound);
+  DispatcherConfig config;
+  config.max_pending = bound;
+  Dispatcher ring(config);
+  NaiveDispatcher naive(bound);
+  Metrics& metrics = Metrics::get();
+
+  const auto add = [&](const Predicate& p) {
+    ASSERT_EQ(ring.subscribe(p), naive.subscribe(p));
+  };
+  add(Predicate{});  // firehose: stages exactly the distinct victims
+  add(Predicate{}.match_prefix(net::Prefix::parse("10.0.0.0/24")));
+  add(Predicate{}.match_proto(17));
+  add(Predicate{}.match_kind(core::AlertKind::kAttackSpike));
+  add(Predicate{}.match_asn(meta::Asn{65001}));
+
+  std::uint32_t next_victim = 0;
+  for (int step = 0; step < 60; ++step) {
+    const std::string name = "bound " + std::to_string(bound) + " step " +
+                             std::to_string(step);
+    // Distinct victims this tick, below, at or above the bound; the
+    // firehose stages exactly that many.
+    std::size_t distinct = 0;
+    switch (rng.next_below(4)) {
+      case 0: distinct = rng.next_below(bound); break;
+      case 1: distinct = bound; break;
+      case 2: distinct = bound + 1 + rng.next_below(2 * bound); break;
+      default: distinct = rng.next_below(3); break;
+    }
+    std::vector<core::Alert> alerts;
+    for (std::size_t i = 0; i < distinct; ++i) {
+      const std::uint32_t v = next_victim++;
+      core::AttackEvent event;
+      event.target = net::Ipv4Addr{0x0a000000u + (v % 1024u)};
+      event.start = 1000.0 + v;
+      event.end = event.start + 60.0;
+      event.ip_proto = rng.bernoulli(0.5) ? 6 : 17;
+      alerts.push_back(core::event_alert(
+          event, step,
+          rng.bernoulli(0.5) ? meta::Asn{65001} : meta::Asn{65002},
+          meta::CountryCode("DE")));
+      // Repeat a victim of this tick now and then: it coalesces.
+      if (rng.bernoulli(0.15))
+        alerts.push_back(alerts[rng.next_below(alerts.size())]);
+    }
+    if (rng.bernoulli(0.3))
+      alerts.push_back(core::spike_alert(core::AlertKind::kAttackSpike, step,
+                                         100.0, 10.0));
+    for (const core::Alert& alert : alerts) {
+      ring.on_alert(alert);
+      naive.on_alert(alert);
+    }
+
+    // Churn: unsubscribe mid-tick (staged, not yet flushed) and add a new
+    // watcher that starts with an empty ring.
+    if (rng.bernoulli(0.1) && naive.size() > 1) {
+      const auto id =
+          static_cast<SubscriptionId>(1 + rng.next_below(naive.size()));
+      if (naive.active(id)) {
+        EXPECT_TRUE(ring.unsubscribe(id)) << name;
+        naive.unsubscribe(id);
+      }
+    }
+    if (rng.bernoulli(0.1)) {
+      Predicate p;
+      if (rng.bernoulli(0.5)) p.match_proto(6);
+      add(p);
+    }
+
+    const std::uint64_t dropped_before = metrics.dropped.value();
+    const std::uint64_t naive_dropped_before = naive.dropped_total();
+    ring.tick();
+    naive.tick();
+    EXPECT_EQ(metrics.dropped.value() - dropped_before,
+              naive.dropped_total() - naive_dropped_before)
+        << name;
+    EXPECT_EQ(metrics.pending.value(),
+              static_cast<std::int64_t>(naive.pending_total()))
+        << name;
+    expect_same_queues(ring, naive, rng, bound, name);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Bounds, RingDifferential,
+                         ::testing::Values(std::size_t{1}, std::size_t{2},
+                                           std::size_t{3}, std::size_t{7},
+                                           std::size_t{64}));
+
+TEST(DispatcherTest, RingGrowsWhileItsHeadHasMoved) {
+  // Bound 64 starts the ring at 8 slots. Five notifications, then 62 in one
+  // tick: the flush evicts the three oldest (moving the head) and grows the
+  // ring in the same step; the survivors must come out in order.
+  DispatcherConfig config;
+  config.max_pending = 64;
+  Dispatcher dispatcher(config);
+  const SubscriptionId id = dispatcher.subscribe(Predicate{});
+  const auto stage = [&](int count, int base) {
+    for (int i = 0; i < count; ++i)
+      dispatcher.ingest(event_on(
+          net::Ipv4Addr{0x0a000000u + static_cast<std::uint32_t>(base + i)}
+              .to_string(),
+          100.0 + base + i));
+    dispatcher.tick();
+  };
+  stage(5, 0);
+  stage(62, 5);
+  const auto all = dispatcher.fetch(id, 0, 0);
+  ASSERT_TRUE(all.has_value());
+  EXPECT_EQ(all->dropped, 3u);
+  ASSERT_EQ(all->notifications.size(), 64u);
+  for (std::size_t i = 0; i < 64; ++i)
+    EXPECT_EQ(all->notifications[i].seq, i + 4);
+  EXPECT_EQ(all->notifications.front().alert.event.target.to_string(),
+            "10.0.0.3");
+}
+
+TEST(DispatcherTest, HostileCursorsAreClampedNotWrapped) {
+  DispatcherConfig config;
+  config.max_pending = 4;
+  Dispatcher dispatcher(config);
+  const SubscriptionId id = dispatcher.subscribe(Predicate{});
+  for (int i = 0; i < 10; ++i)
+    dispatcher.ingest(event_on("10.0.0." + std::to_string(i + 1), 100.0 + i));
+  dispatcher.tick();  // seqs 1..10 staged; 7..10 retained, 6 dropped
+
+  // Above the newest seq, and UINT64_MAX: nothing, the cursor echoed back,
+  // nothing pending.
+  for (const std::uint64_t cursor :
+       {std::uint64_t{11}, std::uint64_t{1} << 40,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    const auto result = dispatcher.fetch(id, cursor, 0);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_TRUE(result->notifications.empty()) << cursor;
+    EXPECT_EQ(result->next_cursor, cursor);
+    EXPECT_EQ(result->pending, 0u);
+    EXPECT_EQ(result->dropped, 6u);
+  }
+  // Below the oldest retained seq after drops: everything retained.
+  for (const std::uint64_t cursor :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5},
+        std::uint64_t{6}}) {
+    const auto result = dispatcher.fetch(id, cursor, 0);
+    ASSERT_TRUE(result.has_value());
+    ASSERT_EQ(result->notifications.size(), 4u) << cursor;
+    EXPECT_EQ(result->notifications.front().seq, 7u);
+    EXPECT_EQ(result->next_cursor, 10u);
+    EXPECT_EQ(result->pending, 0u);
+  }
+  // Paged from below the span: pending counts what the page left behind.
+  const auto page = dispatcher.fetch(id, 2, 3);
+  ASSERT_TRUE(page.has_value());
+  ASSERT_EQ(page->notifications.size(), 3u);
+  EXPECT_EQ(page->next_cursor, 9u);
+  EXPECT_EQ(page->pending, 1u);
 }
 
 }  // namespace
