@@ -18,9 +18,10 @@
 // default max_pending and times Dispatcher::tick plus one fetch per
 // watcher from its last cursor, per tick of a fixed alert stream — the
 // work perfbench's `live` reports as subscribe.tick_ms and
-// subscribe.fetch_us. The same stream runs through a minimal vector queue
-// (front erase on flush, linear cursor scan); every fetch must agree with
-// it on seqs, coalesced counts, alerts, dropped and pending.
+// subscribe.fetch_us. The same stream runs through the reference vector
+// queue of vector_queue.h (front erase on flush, linear cursor scan); every
+// fetch must agree with it on seqs, coalesced counts, alerts, dropped and
+// pending.
 //
 // Emits BENCH_subscribe.json and fails when the default-size run speeds up
 // dispatch by less than 10x over scan-all, or tick + fetch by less than 5x
@@ -43,6 +44,7 @@
 #include "subscribe/dispatcher.h"
 #include "subscribe/index.h"
 #include "subscribe/oracle.h"
+#include "vector_queue.h"
 
 namespace {
 
@@ -141,97 +143,6 @@ double seconds_since(clock_type::time_point t0) {
 
 // --- Queue phase -------------------------------------------------------
 
-/// The per-subscription queue the ring replaced, kept as the timing
-/// reference and the identity oracle: flush appends the staged
-/// notifications and erases the oldest beyond the bound from the front;
-/// fetch scans the whole queue for seq > cursor.
-class VectorQueues {
- public:
-  VectorQueues(std::size_t watchers, std::size_t bound)
-      : subs_(watchers), bound_(bound) {}
-
-  /// Stages alert for watcher w, folding a same-victim repeat in the tick.
-  void stage(std::size_t w, const core::Alert& alert) {
-    Sub& sub = subs_[w];
-    for (subscribe::Notification& n : sub.staged) {
-      if (n.alert.event.target == alert.event.target) {
-        ++n.coalesced;
-        return;
-      }
-    }
-    subscribe::Notification n;
-    n.seq = sub.next_seq++;
-    n.alert = alert;
-    sub.staged.push_back(n);
-  }
-
-  void tick() {
-    for (Sub& sub : subs_) {
-      for (subscribe::Notification& n : sub.staged) sub.queue.push_back(n);
-      sub.staged.clear();
-      if (sub.queue.size() > bound_) {
-        const std::size_t excess = sub.queue.size() - bound_;
-        sub.queue.erase(
-            sub.queue.begin(),
-            sub.queue.begin() + static_cast<std::ptrdiff_t>(excess));
-        sub.dropped += excess;
-      }
-    }
-  }
-
-  subscribe::FetchResult fetch(std::size_t w, std::uint64_t cursor,
-                               std::size_t max_items) const {
-    const Sub& sub = subs_[w];
-    subscribe::FetchResult result;
-    result.next_cursor = cursor;
-    result.dropped = sub.dropped;
-    for (const subscribe::Notification& n : sub.queue) {
-      if (n.seq <= cursor) continue;
-      if (result.notifications.size() >= max_items)
-        ++result.pending;
-      else
-        result.notifications.push_back(n);
-    }
-    if (!result.notifications.empty())
-      result.next_cursor = result.notifications.back().seq;
-    return result;
-  }
-
-  std::size_t min_queue() const {
-    std::size_t least = bound_;
-    for (const Sub& sub : subs_) least = std::min(least, sub.queue.size());
-    return least;
-  }
-
- private:
-  struct Sub {
-    std::vector<subscribe::Notification> queue;
-    std::vector<subscribe::Notification> staged;
-    std::uint64_t next_seq = 1;
-    std::uint64_t dropped = 0;
-  };
-  std::vector<Sub> subs_;
-  std::size_t bound_;
-};
-
-bool same_fetch(const subscribe::FetchResult& a,
-                const subscribe::FetchResult& b) {
-  if (a.next_cursor != b.next_cursor || a.dropped != b.dropped ||
-      a.pending != b.pending ||
-      a.notifications.size() != b.notifications.size())
-    return false;
-  for (std::size_t i = 0; i < a.notifications.size(); ++i) {
-    const subscribe::Notification& x = a.notifications[i];
-    const subscribe::Notification& y = b.notifications[i];
-    if (x.seq != y.seq || x.coalesced != y.coalesced ||
-        x.alert.event.target != y.alert.event.target ||
-        x.alert.event.start != y.alert.event.start ||
-        x.alert.asn != y.alert.asn || x.alert.country != y.alert.country)
-      return false;
-  }
-  return true;
-}
-
 struct QueuePhase {
   std::size_t watchers = 0;
   std::size_t bound = 0;
@@ -277,7 +188,7 @@ QueuePhase run_queue_phase(bool smoke) {
   for (std::size_t j = 0; j < countries; ++j)
     ids.push_back(dispatcher.subscribe(
         subscribe::Predicate{}.match_country(country_code(j))));
-  VectorQueues reference(phase.watchers, phase.bound);
+  std::vector<bench::VectorQueue> reference(phase.watchers);
 
   Rng rng(0x9e7eu);
   std::vector<core::Alert> batch;
@@ -316,8 +227,8 @@ QueuePhase run_queue_phase(bool smoke) {
     }
     for (std::size_t i = 0; i < batch.size(); ++i) {
       dispatcher.on_alert(batch[i]);
-      reference.stage(targets[i].first, batch[i]);
-      reference.stage(asns + targets[i].second, batch[i]);
+      reference[targets[i].first].stage(batch[i]);
+      reference[asns + targets[i].second].stage(batch[i]);
     }
 
     auto t0 = clock_type::now();
@@ -332,10 +243,10 @@ QueuePhase run_queue_phase(bool smoke) {
     }
 
     t0 = clock_type::now();
-    reference.tick();
+    for (bench::VectorQueue& queue : reference) queue.flush(phase.bound);
     t1 = clock_type::now();
     for (std::size_t w = 0; w < phase.watchers; ++w)
-      via_vector[w] = reference.fetch(w, cursors[w], fetch_max);
+      via_vector[w] = reference[w].fetch(cursors[w], fetch_max);
     t2 = clock_type::now();
     if (timed) {
       vector_tick_s += std::chrono::duration<double>(t1 - t0).count();
@@ -343,14 +254,18 @@ QueuePhase run_queue_phase(bool smoke) {
     }
 
     for (std::size_t w = 0; w < phase.watchers; ++w) {
-      if (!same_fetch(via_ring[w], via_vector[w])) phase.identical = false;
+      if (!bench::fetch_difference(via_ring[w], via_vector[w]).empty())
+        phase.identical = false;
       cursors[w] = via_ring[w].next_cursor;
       if (timed) phase.delivered += via_ring[w].notifications.size();
     }
     if (!phase.identical) return phase;
     if (timed)
       ++timed_done;
-    else if (reference.min_queue() == phase.bound)
+    else if (std::all_of(reference.begin(), reference.end(),
+                         [&](const bench::VectorQueue& queue) {
+                           return queue.queue.size() == phase.bound;
+                         }))
       phase.warmup_ticks = t + 1;
   }
   for (std::size_t w = 0; w < phase.watchers; ++w)

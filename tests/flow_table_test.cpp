@@ -318,7 +318,7 @@ net::PacketRecord backscatter_from(Ipv4Addr victim, double ts) {
   rec.ts_sec = static_cast<UnixSeconds>(std::floor(ts));
   rec.ts_usec = static_cast<std::uint32_t>((ts - std::floor(ts)) * 1e6);
   rec.src = victim;
-  rec.dst = Ipv4Addr(44, 0, 0, static_cast<std::uint8_t>(ts));
+  rec.dst = Ipv4Addr(44, 0, 0, static_cast<std::uint8_t>(rec.ts_sec % 256));
   rec.proto = static_cast<std::uint8_t>(IpProto::kTcp);
   rec.src_port = 80;
   rec.tcp_flags = net::tcp_flags::kSyn | net::tcp_flags::kAck;

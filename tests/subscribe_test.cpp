@@ -18,6 +18,7 @@
 #include "subscribe/metrics.h"
 #include "subscribe/oracle.h"
 #include "subscribe/subscription.h"
+#include "vector_queue.h"
 
 namespace dosm::subscribe {
 namespace {
@@ -404,83 +405,43 @@ TEST(DispatcherTest, LifecycleEdges) {
 // The queue ring against a naive vector queue, in lockstep.
 // ---------------------------------------------------------------------------
 
-/// The dispatcher's delivery semantics with the simplest queue: flush
-/// appends every staged notification and erases the oldest beyond the
-/// bound; fetch scans the whole queue for seq > cursor.
+/// The dispatcher's delivery semantics with the reference vector queue of
+/// bench/vector_queue.h behind every subscription; the predicate matching
+/// and subscription lifecycle are modelled here.
 class NaiveDispatcher {
  public:
   explicit NaiveDispatcher(std::size_t bound) : bound_(bound) {}
 
   SubscriptionId subscribe(const Predicate& predicate) {
-    Sub sub;
-    sub.predicate = predicate;
-    subs_.push_back(std::move(sub));
+    subs_.push_back(Sub{predicate, true, {}});
     return static_cast<SubscriptionId>(subs_.size());
   }
 
-  void unsubscribe(SubscriptionId id) { subs_[id - 1].active = false; }
+  void unsubscribe(SubscriptionId id) {
+    subs_[id - 1].active = false;
+    subs_[id - 1].queue = {};
+  }
 
   void on_alert(const core::Alert& alert) {
-    for (Sub& sub : subs_) {
-      if (!sub.active || !sub.predicate.matches(alert)) continue;
-      const auto same = std::find_if(
-          sub.staged.begin(), sub.staged.end(), [&](const Notification& n) {
-            if (n.alert.kind != alert.kind ||
-                n.alert.has_event != alert.has_event)
-              return false;
-            return alert.has_event ? n.alert.event.target == alert.event.target
-                                   : n.alert.day == alert.day;
-          });
-      if (same != sub.staged.end()) {
-        ++same->coalesced;
-        continue;
-      }
-      Notification n;
-      n.seq = sub.next_seq++;
-      n.alert = alert;
-      sub.staged.push_back(n);
-    }
+    for (Sub& sub : subs_)
+      if (sub.active && sub.predicate.matches(alert)) sub.queue.stage(alert);
   }
 
   void tick() {
-    for (Sub& sub : subs_) {
-      if (!sub.active) continue;
-      sub.queue.insert(sub.queue.end(), sub.staged.begin(), sub.staged.end());
-      sub.staged.clear();
-      if (sub.queue.size() > bound_) {
-        const std::size_t excess = sub.queue.size() - bound_;
-        sub.queue.erase(
-            sub.queue.begin(),
-            sub.queue.begin() + static_cast<std::ptrdiff_t>(excess));
-        sub.dropped += excess;
-        dropped_total_ += excess;
-      }
-    }
+    for (Sub& sub : subs_)
+      if (sub.active) dropped_total_ += sub.queue.flush(bound_);
   }
 
   std::optional<FetchResult> fetch(SubscriptionId id, std::uint64_t cursor,
                                    std::size_t max_items) const {
     const Sub& sub = subs_[id - 1];
     if (!sub.active) return std::nullopt;
-    FetchResult result;
-    result.next_cursor = cursor;
-    result.dropped = sub.dropped;
-    for (const Notification& n : sub.queue) {
-      if (n.seq <= cursor) continue;
-      if (max_items != 0 && result.notifications.size() >= max_items)
-        ++result.pending;
-      else
-        result.notifications.push_back(n);
-    }
-    if (!result.notifications.empty())
-      result.next_cursor = result.notifications.back().seq;
-    return result;
+    return sub.queue.fetch(cursor, max_items);
   }
 
   std::uint64_t pending_total() const {
     std::uint64_t total = 0;
-    for (const Sub& sub : subs_)
-      if (sub.active) total += sub.queue.size();
+    for (const Sub& sub : subs_) total += sub.queue.queue.size();
     return total;
   }
   std::uint64_t dropped_total() const { return dropped_total_; }
@@ -488,19 +449,16 @@ class NaiveDispatcher {
   bool active(SubscriptionId id) const { return subs_[id - 1].active; }
   /// Oldest retained and newest flushed seq (0, 0 when empty).
   std::pair<std::uint64_t, std::uint64_t> span(SubscriptionId id) const {
-    const Sub& sub = subs_[id - 1];
-    if (sub.queue.empty()) return {0, 0};
-    return {sub.queue.front().seq, sub.queue.back().seq};
+    const auto& queue = subs_[id - 1].queue.queue;
+    if (queue.empty()) return {0, 0};
+    return {queue.front().seq, queue.back().seq};
   }
 
  private:
   struct Sub {
     Predicate predicate;
     bool active = true;
-    std::vector<Notification> queue;
-    std::vector<Notification> staged;
-    std::uint64_t next_seq = 1;
-    std::uint64_t dropped = 0;
+    bench::VectorQueue queue;
   };
   std::size_t bound_;
   std::vector<Sub> subs_;
@@ -511,23 +469,8 @@ void expect_same_fetch(const std::optional<FetchResult>& got,
                        const std::optional<FetchResult>& want,
                        const std::string& where) {
   ASSERT_EQ(got.has_value(), want.has_value()) << where;
-  if (!got) return;
-  ASSERT_EQ(got->notifications.size(), want->notifications.size()) << where;
-  EXPECT_EQ(got->next_cursor, want->next_cursor) << where;
-  EXPECT_EQ(got->dropped, want->dropped) << where;
-  EXPECT_EQ(got->pending, want->pending) << where;
-  for (std::size_t i = 0; i < got->notifications.size(); ++i) {
-    const Notification& a = got->notifications[i];
-    const Notification& b = want->notifications[i];
-    ASSERT_EQ(a.seq, b.seq) << where << " item " << i;
-    EXPECT_EQ(a.coalesced, b.coalesced) << where << " item " << i;
-    EXPECT_EQ(a.alert.kind, b.alert.kind) << where << " item " << i;
-    EXPECT_EQ(a.alert.day, b.alert.day) << where << " item " << i;
-    EXPECT_EQ(a.alert.has_event, b.alert.has_event) << where << " item " << i;
-    EXPECT_EQ(a.alert.event.target, b.alert.event.target)
-        << where << " item " << i;
-    EXPECT_EQ(a.alert.event.start, b.alert.event.start)
-        << where << " item " << i;
+  if (got) {
+    EXPECT_EQ(bench::fetch_difference(*got, *want), "") << where;
   }
 }
 
