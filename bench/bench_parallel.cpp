@@ -2,6 +2,11 @@
 // throughput and speedup versus the 1-thread path, over the shared synthetic
 // packet-level workload (src/parallel/workload.h).
 //
+// The rows time the same calls as `perfbench capture`, which runs detection
+// at 2 threads: telescope_ms at 1 and 2 threads predicts
+// telescope.detect_1t_ms and telescope.detect_ms, honeypot_ms at 2 threads
+// amppot.consolidate_ms.
+//
 // Emits BENCH_parallel.json — the machine-readable baseline CI tracks. Every
 // measured configuration is first cross-checked event-by-event against the
 // sequential detectors, so a determinism or correctness regression fails the
@@ -201,7 +206,10 @@ int run(int argc, char** argv) {
         .end_object();
   }
   json.end_array();
-  std::cout << table;
+  std::cout << table
+            << "perfbench capture: telescope_ms at 1/2 threads -> "
+               "telescope.detect_1t_ms / telescope.detect_ms, honeypot_ms "
+               "at 2 threads -> amppot.consolidate_ms\n";
 
   const double speedup_8t = combined_8t > 0.0 ? combined_1t / combined_8t : 0.0;
   const bool gate_applies = !smoke && hardware >= 8;
@@ -211,7 +219,13 @@ int run(int argc, char** argv) {
             << "8-thread speedup: " << fixed(speedup_8t, 2) << "x on "
             << hardware << " hardware threads\n";
 
-  json.key("deterministic").value(true)
+  json.key("perfbench")
+      .begin_object()
+      .key("telescope_ms_1t").value("telescope.detect_1t_ms")
+      .key("telescope_ms_2t").value("telescope.detect_ms")
+      .key("honeypot_ms_2t").value("amppot.consolidate_ms")
+      .end_object()
+      .key("deterministic").value(true)
       .key("speedup_8t").value(speedup_8t)
       .key("speedup_gate")
       .value(gate_applies ? (speedup_8t >= 3.0 ? "passed" : "failed")

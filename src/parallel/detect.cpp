@@ -14,34 +14,14 @@
 namespace dosm::parallel {
 namespace {
 
-struct ShardMetrics {
-  obs::Counter& shard_packets;
-  obs::Counter& shard_events;
-  obs::Histogram& merge_seconds;
-
-  static ShardMetrics& get() {
-    static ShardMetrics metrics = [] {
-      auto& reg = obs::MetricsRegistry::global();
-      return ShardMetrics{
-          reg.counter("parallel.shard_backscatter_packets",
-                      "Backscatter packets processed across shards"),
-          reg.counter("parallel.shard_events",
-                      "Events emitted across shards before the k-way merge"),
-          reg.histogram("parallel.merge_seconds",
-                        "Deterministic k-way merge time",
-                        obs::latency_buckets()),
-      };
-    }();
-    return metrics;
-  }
-};
+obs::Histogram& merge_seconds() {
+  static obs::Histogram& histogram = obs::MetricsRegistry::global().histogram(
+      "parallel.merge_seconds", "Deterministic k-way merge time",
+      obs::latency_buckets());
+  return histogram;
+}
 
 }  // namespace
-
-bool telescope_event_less(const telescope::TelescopeEvent& a,
-                          const telescope::TelescopeEvent& b) {
-  return std::tie(a.start, a.victim) < std::tie(b.start, b.victim);
-}
 
 bool amppot_event_less(const amppot::AmpPotEvent& a,
                        const amppot::AmpPotEvent& b) {
@@ -50,7 +30,7 @@ bool amppot_event_less(const amppot::AmpPotEvent& a,
 }
 
 void canonical_sort(std::vector<telescope::TelescopeEvent>& events) {
-  std::sort(events.begin(), events.end(), telescope_event_less);
+  std::sort(events.begin(), events.end(), telescope::event_less);
 }
 
 void canonical_sort(std::vector<amppot::AmpPotEvent>& events) {
@@ -72,78 +52,53 @@ std::vector<telescope::TelescopeEvent> ParallelBackscatterDetector::detect(
 
   run_tasks(num_shards, parallel_.threads, [&](std::size_t shard) {
     auto& events = per_shard[shard];
-    TelescopeDetectStats& stats = shard_stats[shard];
-    telescope::FlowTable table(
-        [&](const telescope::TelescopeEvent& event) {
-          if (telescope::passes_thresholds_recorded(event, thresholds_)) {
-            ++stats.events_emitted;
-            events.push_back(event);
-          } else {
-            ++stats.flows_filtered;
-          }
-        },
-        flow_timeout_s_);
-    // Every worker walks the whole stream so its table's lazy sweep fires
-    // at exactly the sequential cadence (see detect.h); only this shard's
-    // backscatter mutates flow state.
+    telescope::BackscatterDetector detector(
+        [&](const telescope::TelescopeEvent& e) { events.push_back(e); },
+        thresholds_, flow_timeout_s_);
+    std::uint64_t non_backscatter = 0;
     for (const auto& rec : packets) {
       if (!telescope::is_backscatter(rec)) {
-        table.advance(rec.timestamp());
-        continue;
-      }
-      const auto info = telescope::classify_backscatter(rec);
-      if (shard_of(info.victim, num_shards) == shard) {
-        ++stats.backscatter_packets;
-        table.add(rec.timestamp(), info, rec.ip_len, rec.dst);
-      } else {
-        table.advance(rec.timestamp());
+        ++non_backscatter;
+      } else if (num_shards == 1 ||
+                 shard_of(telescope::classify_backscatter(rec).victim,
+                          num_shards) == shard) {
+        detector.on_packet(rec);
       }
     }
-    table.flush();
-    std::sort(events.begin(), events.end(), telescope_event_less);
+    // Shard 0 counts the packets no shard owns, so the shards' counters sum
+    // to the sequential detector's.
+    if (shard == 0) detector.skip_non_backscatter(non_backscatter);
+    detector.finish();
+    std::sort(events.begin(), events.end(), telescope::event_less);
+    shard_stats[shard] = {detector.packets_seen(),
+                          detector.backscatter_packets(),
+                          detector.flows_filtered(), detector.events_emitted()};
   });
 
   stats_ = TelescopeDetectStats{};
-  stats_.packets_seen = packets.size();
   for (const auto& s : shard_stats) {
+    stats_.packets_seen += s.packets_seen;
     stats_.backscatter_packets += s.backscatter_packets;
     stats_.flows_filtered += s.flows_filtered;
     stats_.events_emitted += s.events_emitted;
   }
-  ShardMetrics& metrics = ShardMetrics::get();
-  metrics.shard_packets.add(stats_.backscatter_packets);
-  metrics.shard_events.add(stats_.events_emitted);
-  const obs::ScopedTimer merge_timer(metrics.merge_seconds);
-  return kway_merge(std::move(per_shard), telescope_event_less);
+  const obs::ScopedTimer merge_timer(merge_seconds());
+  return kway_merge(std::move(per_shard), telescope::event_less);
 }
 
 std::vector<amppot::AmpPotEvent> parallel_consolidate(
     std::span<const HoneypotLog> logs, const amppot::ConsolidatorConfig& config,
     const ParallelConfig& parallel) {
-  const std::size_t num_shards = parallel.effective_shards();
-  std::vector<std::vector<amppot::AmpPotEvent>> per_shard(num_shards);
-
-  run_tasks(num_shards, parallel.threads, [&](std::size_t shard) {
-    std::vector<amppot::AmpPotEvent> stage1;
-    std::vector<amppot::RequestRecord> filtered;
-    for (const auto& log : logs) {
-      filtered.clear();
-      for (const auto& req : log.requests) {
-        if (shard_of(req.source, num_shards) == shard) filtered.push_back(req);
-      }
-      // Sessions are keyed by (victim, protocol), so consolidating the
-      // victim-filtered sub-log yields exactly the sessions the full log
-      // would produce for this shard's victims.
-      auto events = amppot::consolidate_log(filtered, config, log.honeypot_id);
-      stage1.insert(stage1.end(), events.begin(), events.end());
-    }
-    per_shard[shard] = amppot::merge_fleet_events(std::move(stage1));
+  // HoneypotFleet::harvest with its per-log stage run as tasks.
+  std::vector<std::vector<amppot::AmpPotEvent>> per_log(logs.size());
+  run_tasks(logs.size(), parallel.threads, [&](std::size_t i) {
+    per_log[i] =
+        amppot::consolidate_log(logs[i].requests, config, logs[i].honeypot_id);
   });
-
-  ShardMetrics& metrics = ShardMetrics::get();
-  for (const auto& events : per_shard) metrics.shard_events.add(events.size());
-  const obs::ScopedTimer merge_timer(metrics.merge_seconds);
-  return kway_merge(std::move(per_shard), amppot_event_less);
+  std::vector<amppot::AmpPotEvent> stage1;
+  for (const auto& events : per_log)
+    stage1.insert(stage1.end(), events.begin(), events.end());
+  return amppot::merge_fleet_events(std::move(stage1));
 }
 
 std::vector<amppot::AmpPotEvent> parallel_harvest(

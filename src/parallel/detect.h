@@ -1,29 +1,21 @@
-// Sharded parallel front-ends for the two detection pipelines.
+// Parallel front ends for the two detection pipelines. Each runs the
+// sequential code per task, so its output cannot disagree with it.
 //
-// Both detectors keep all per-attack state keyed by the victim address
-// (telescope flows by victim, AmpPot sessions and fleet merge groups by
-// (victim, protocol)), so the packet/request stream can be split by
-// victim-hash across N workers, each running an unmodified sequential
-// detector over its shard, and the per-shard event runs recombined with a
-// deterministic k-way merge.
+//  * Telescope: all flow state is keyed by victim, and a flow ends on its
+//    victim's own gap (FlowTable::add). The victims are split by hash into
+//    shards; each shard task runs a plain BackscatterDetector over the
+//    backscatter of the victims it owns, and the per-shard event runs are
+//    recombined with a k-way merge on the total key (start, victim).
+//    Victims are unique to a shard, so no cross-shard ties exist and the
+//    merge order is a pure function of the event set.
 //
-// The determinism invariant (tested in parallel_test, enforced in CI):
-// for any thread and shard count, the merged output is byte-identical to
-// the sequential detector's output in canonical order. Two details make
-// this exact rather than approximate:
+//  * AmpPot: consolidate_log already works per honeypot, so each log is one
+//    task, and one merge_fleet_events call over the concatenated stage-1
+//    events finishes the job, exactly as HoneypotFleet::harvest does.
 //
-//  * A telescope flow ends on its victim's own gap (FlowTable::add), so a
-//    shard's flow splits never depend on other shards' packets. Each
-//    worker still scans the entire packet stream, feeding `add` for its
-//    own shard's backscatter and `advance` for everything else, which
-//    keeps every shard's lazy sweep (memory reclaim only) on the
-//    sequential cadence. The scan is cheap (backscatter test + one hash);
-//    the per-flow state updates, which dominate, are what gets divided N
-//    ways.
-//
-//  * Events are merged on the totally-ordered key (start, victim
-//    [, protocol]); victims are unique to a shard, so no cross-shard ties
-//    exist and the merge order is a pure function of the event set.
+// The determinism invariant (tested in parallel_test, enforced in CI): for
+// any thread and shard count, the output is byte-identical to the
+// sequential detectors' output in canonical order.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +35,10 @@ namespace dosm::parallel {
 struct ParallelConfig {
   /// Worker threads; <= 1 runs every shard inline on the caller.
   int threads = 1;
-  /// Victim-hash shards (work-queue tasks); 0 means one per thread.
-  /// More shards than threads improves load balance on skewed victim
-  /// distributions at the cost of extra stream scans.
+  /// Victim-hash shards of the telescope detector (work-queue tasks); 0
+  /// means one per thread. More shards than threads improves load balance
+  /// on skewed victim distributions at the cost of extra stream scans.
+  /// AmpPot consolidation always runs one task per honeypot log.
   int shards = 0;
 
   /// Shard count actually used: max(shards, 1), defaulted to threads.
@@ -55,18 +48,14 @@ struct ParallelConfig {
   }
 };
 
-/// Canonical total order on telescope events: (start, victim). A victim has
-/// at most one open flow at a time, so the key is unique across a capture.
-bool telescope_event_less(const telescope::TelescopeEvent& a,
-                          const telescope::TelescopeEvent& b);
-
 /// Canonical total order on AmpPot events: (start, victim, protocol) — the
 /// order consolidate_log and merge_fleet_events already emit.
 bool amppot_event_less(const amppot::AmpPotEvent& a,
                        const amppot::AmpPotEvent& b);
 
 /// Sorts sequential detector output into the canonical order the parallel
-/// path emits, for byte-for-byte comparison.
+/// path emits, for byte-for-byte comparison (telescope::event_less for
+/// telescope events).
 void canonical_sort(std::vector<telescope::TelescopeEvent>& events);
 void canonical_sort(std::vector<amppot::AmpPotEvent>& events);
 
@@ -94,7 +83,9 @@ class ParallelBackscatterDetector {
   std::vector<telescope::TelescopeEvent> detect(
       std::span<const net::PacketRecord> packets);
 
-  /// Counters for the most recent detect() call.
+  /// Counters for the most recent detect() call. Each call also adds them
+  /// to the global telescope.* counters, as BackscatterDetector::finish
+  /// does.
   const TelescopeDetectStats& stats() const { return stats_; }
 
  private:
@@ -111,10 +102,10 @@ struct HoneypotLog {
   std::span<const amppot::RequestRecord> requests;
 };
 
-/// Sharded equivalent of per-honeypot consolidate_log + fleet-level
-/// merge_fleet_events over a whole fleet's logs. Returns fleet-level events
-/// in canonical (start, victim, protocol) order, byte-identical to the
-/// sequential two-stage path for any thread/shard count.
+/// Per-honeypot consolidate_log, one task per log, then one fleet-level
+/// merge_fleet_events over all of them. Returns fleet-level events in
+/// canonical (start, victim, protocol) order, byte-identical to
+/// HoneypotFleet::harvest for any thread count (`shards` is not used).
 std::vector<amppot::AmpPotEvent> parallel_consolidate(
     std::span<const HoneypotLog> logs,
     const amppot::ConsolidatorConfig& config = {},

@@ -24,7 +24,7 @@ struct QueueMetrics {
       auto& reg = obs::MetricsRegistry::global();
       return QueueMetrics{
           reg.counter("parallel.tasks_executed",
-                      "Shard tasks executed by the work queue"),
+                      "Tasks executed by the work queue"),
           reg.histogram("parallel.queue_wait_seconds",
                         "Delay between queue start and task claim",
                         obs::latency_buckets()),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "obs/metrics.h"
 
@@ -50,6 +51,10 @@ struct Metrics {
 };
 
 }  // namespace
+
+bool event_less(const TelescopeEvent& a, const TelescopeEvent& b) {
+  return std::tie(a.start, a.victim) < std::tie(b.start, b.victim);
+}
 
 bool passes_thresholds(const TelescopeEvent& event,
                        const ClassifierThresholds& thresholds) {
@@ -127,8 +132,6 @@ void FlowTable::add(double ts, const BackscatterInfo& info, std::uint16_t ip_len
   }
   ++flow.count_in_minute;
 }
-
-void FlowTable::advance(double now) { sweep(now); }
 
 void FlowTable::sweep(double now) {
   // Sweep at most once per 60 simulated seconds. add() splits a victim's
@@ -208,10 +211,7 @@ void BackscatterDetector::on_packet(const net::PacketRecord& rec) {
   // atomic (the striped-counter fast path still costs a TLS load + fetch_add,
   // which is real money at packet granularity).
   ++packets_seen_;
-  if (!is_backscatter(rec)) {
-    flows_.advance(rec.timestamp());
-    return;
-  }
+  if (!is_backscatter(rec)) return;
   ++backscatter_packets_;
   flows_.add(rec.timestamp(), classify_backscatter(rec), rec.ip_len, rec.dst);
 }

@@ -37,6 +37,10 @@ struct TelescopeEvent {
   bool single_port() const { return num_ports == 1; }
 };
 
+/// Canonical total order on telescope events: (start, victim). A victim has
+/// at most one open flow at a time, so the key is unique across a capture.
+bool event_less(const TelescopeEvent& a, const TelescopeEvent& b);
+
 /// Classification thresholds (Moore et al. §3.1.1). The defaults are the
 /// paper's; tests sweep them to validate monotonicity.
 struct ClassifierThresholds {
@@ -61,10 +65,10 @@ bool passes_thresholds_recorded(const TelescopeEvent& event,
 ///
 /// Flows are keyed by victim address. A victim's packet arriving more than
 /// the timeout after its flow's last packet closes that flow first, so the
-/// split depends only on the victim's own traffic. Idle flows are also
-/// expired lazily as packet timestamps advance, which emits them earlier
-/// and frees their memory (packets must be fed in non-decreasing time
-/// order, which holds for both live capture and pcap replay).
+/// split depends only on the victim's own traffic. Each add() also expires
+/// idle flows of other victims lazily, which emits them earlier and frees
+/// their memory (packets must be fed in non-decreasing time order, which
+/// holds for both live capture and pcap replay).
 class FlowTable {
  public:
   using FlowCallback = std::function<void(const TelescopeEvent&)>;
@@ -74,9 +78,6 @@ class FlowTable {
   /// Adds one backscatter observation at time `ts` (unix seconds).
   void add(double ts, const BackscatterInfo& info, std::uint16_t ip_len,
            net::Ipv4Addr telescope_dst);
-
-  /// Expires all flows idle for longer than the timeout as of `now`.
-  void advance(double now);
 
   /// Flushes every remaining flow (end of trace).
   void flush();
@@ -130,6 +131,10 @@ class BackscatterDetector {
   /// Processes one captured packet (non-backscatter packets are ignored but
   /// counted).
   void on_packet(const net::PacketRecord& rec);
+
+  /// Counts `packets` non-backscatter packets that the caller filtered out
+  /// instead of passing them to on_packet.
+  void skip_non_backscatter(std::uint64_t packets) { packets_seen_ += packets; }
 
   /// Ends the trace, flushing all open flows through classification.
   void finish();

@@ -1,7 +1,6 @@
 #include "telescope/pipeline.h"
 
 #include <algorithm>
-#include <tuple>
 
 namespace dosm::telescope {
 
@@ -49,10 +48,7 @@ void RsdosPlugin::on_end() {
   // The detector flushes its flow table in hash order; the sharded detector
   // (parallel/detect.cpp) canonically sorts after flushing, so the
   // sequential plugin must present the same order.
-  std::sort(events_.begin(), events_.end(),
-            [](const TelescopeEvent& a, const TelescopeEvent& b) {
-              return std::tie(a.start, a.victim) < std::tie(b.start, b.victim);
-            });
+  std::sort(events_.begin(), events_.end(), event_less);
 }
 
 void TrafficStatsPlugin::on_packet(const net::PacketRecord& rec) {

@@ -3,9 +3,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "parallel/detect.h"
 #include "telescope/flow_table.h"
 
 namespace dosm::telescope {
@@ -85,16 +87,19 @@ TEST(FlowTable, ExpiresAfterTimeout) {
   FlowTable table([&](const TelescopeEvent& e) { flows.push_back(e); },
                   /*flow_timeout_s=*/300.0);
   const Ipv4Addr victim(1, 1, 1, 1);
+  const Ipv4Addr other(2, 2, 2, 2);
   table.add(1000.0, tcp_info(victim, 80), 40, Ipv4Addr(44, 0, 0, 1));
   table.add(1010.0, tcp_info(victim, 80), 40, Ipv4Addr(44, 0, 0, 2));
-  // Advance just under the timeout: still active.
-  table.advance(1010.0 + 299.0);
+  // Another victim's packet just under the timeout sweeps: still active.
+  table.add(1010.0 + 299.0, tcp_info(other, 80), 40, Ipv4Addr(44, 0, 0, 3));
   EXPECT_EQ(flows.size(), 0u);
   // Past the timeout (plus sweep granularity): expired.
-  table.advance(1010.0 + 301.0 + 60.0);
+  table.add(1010.0 + 301.0 + 60.0, tcp_info(other, 80), 40,
+            Ipv4Addr(44, 0, 0, 3));
   ASSERT_EQ(flows.size(), 1u);
+  EXPECT_EQ(flows[0].victim, victim);
   EXPECT_EQ(flows[0].packets, 2u);
-  EXPECT_EQ(table.active_flows(), 0u);
+  EXPECT_EQ(table.active_flows(), 1u);  // only the other victim's flow
 }
 
 TEST(FlowTable, GapSplitsIntoTwoFlows) {
@@ -309,9 +314,11 @@ TEST(FlowTable, AttackProtoTieBreaksTowardLowestProto) {
 
 // Property: a victim's events depend only on that victim's traffic. The
 // sweep that expires idle flows runs at most once per 60 s of stream time
-// and is triggered by any packet, so before flows split on the victim's own
-// gap, a foreign packet stream could move a sweep past the victim's return
-// and fold two attacks into one (or leave them split when alone).
+// and is triggered by other victims' packets, so before flows split on the
+// victim's own gap, a foreign packet stream could move a sweep past the
+// victim's return and fold two attacks into one (or leave them split when
+// alone). The sharded detector sees a different foreign stream per shard,
+// so it must hold there too.
 
 net::PacketRecord backscatter_from(Ipv4Addr victim, double ts) {
   net::PacketRecord rec;
@@ -350,37 +357,47 @@ using EventKey = std::tuple<double, double, std::uint64_t, std::uint64_t,
                             std::uint32_t, std::uint16_t, std::uint16_t,
                             std::uint8_t, double>;
 
-/// Every flow the detector closes for `victim`, in start order.
+/// Every flow closed for `victim`, in start order: by BackscatterDetector
+/// when `shards` is 0, else by ParallelBackscatterDetector over that many
+/// victim-hash shards.
 std::vector<EventKey> victim_events(std::vector<net::PacketRecord> packets,
-                                    Ipv4Addr victim) {
+                                    Ipv4Addr victim, int shards) {
   std::stable_sort(packets.begin(), packets.end(),
                    [](const net::PacketRecord& a, const net::PacketRecord& b) {
                      return a.timestamp() < b.timestamp();
                    });
-  std::vector<EventKey> events;
   // Zero thresholds: every closed flow is an event, so the test sees the
   // split itself rather than what the classifier keeps of it.
-  BackscatterDetector detector(
-      [&](const TelescopeEvent& e) {
-        if (e.victim != victim) return;
-        events.emplace_back(e.start, e.end, e.packets, e.bytes,
-                            e.unique_sources, e.num_ports, e.top_port,
-                            e.attack_proto, e.max_pps);
-      },
-      ClassifierThresholds{0, 0.0, 0.0});
-  for (const auto& rec : packets) detector.on_packet(rec);
-  detector.finish();
+  const ClassifierThresholds keep_all{0, 0.0, 0.0};
+  std::vector<TelescopeEvent> closed;
+  if (shards == 0) {
+    BackscatterDetector detector(
+        [&](const TelescopeEvent& e) { closed.push_back(e); }, keep_all);
+    for (const auto& rec : packets) detector.on_packet(rec);
+    detector.finish();
+  } else {
+    closed = parallel::ParallelBackscatterDetector({1, shards}, keep_all)
+                 .detect(packets);
+  }
+  std::vector<EventKey> events;
+  for (const auto& e : closed) {
+    if (e.victim != victim) continue;
+    events.emplace_back(e.start, e.end, e.packets, e.bytes, e.unique_sources,
+                        e.num_ports, e.top_port, e.attack_proto, e.max_pps);
+  }
   std::sort(events.begin(), events.end());
   return events;
 }
 
 /// V's packets alone, then with each kind of foreign traffic mixed in from
 /// the first packet to past the last: another victim's backscatter at
-/// 1 pps, non-backscatter scans at 1 pps, and both at once.
+/// 1 pps, non-backscatter scans at 1 pps, and both at once. The sequential
+/// detector and the sharded one at 1, 2 and 13 shards must all close V's
+/// flows exactly as the sequential detector does for V alone.
 void expect_independent_of_other_traffic(
     const std::vector<net::PacketRecord>& own, std::size_t expected_events) {
   const Ipv4Addr victim = own.front().src;
-  const auto alone = victim_events(own, victim);
+  const auto alone = victim_events(own, victim, 0);
   EXPECT_EQ(alone.size(), expected_events);
   const double first = own.front().timestamp();
   const double last = own.back().timestamp();
@@ -393,9 +410,15 @@ void expect_independent_of_other_traffic(
     both.push_back(backscatter_from(Ipv4Addr(9, 9, 9, 9), t));
     both.push_back(scan_at(t + 0.5));
   }
-  EXPECT_EQ(victim_events(other_victim, victim), alone) << "other victims";
-  EXPECT_EQ(victim_events(scans, victim), alone) << "non-backscatter";
-  EXPECT_EQ(victim_events(both, victim), alone) << "both";
+  for (const int shards : {0, 1, 2, 13}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    EXPECT_EQ(victim_events(own, victim, shards), alone) << "alone";
+    EXPECT_EQ(victim_events(other_victim, victim, shards), alone)
+        << "other victims";
+    EXPECT_EQ(victim_events(scans, victim, shards), alone)
+        << "non-backscatter";
+    EXPECT_EQ(victim_events(both, victim, shards), alone) << "both";
+  }
 }
 
 TEST(FlowTable, VictimSplitIgnoresOtherTraffic) {

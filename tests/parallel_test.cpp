@@ -13,12 +13,14 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "parallel/detect.h"
 #include "parallel/merge.h"
 #include "parallel/shard.h"
 #include "parallel/work_queue.h"
 #include "parallel/workload.h"
 #include "query/event_frame.h"
+#include "telescope/backscatter.h"
 
 namespace dosm::parallel {
 namespace {
@@ -257,6 +259,103 @@ TEST(ParallelDetect, HarvestMatchesFleetHarvest) {
   // Logs are cleared afterwards, like HoneypotFleet::harvest.
   for (const auto& honeypot : parallel_side.fleet->honeypots())
     EXPECT_TRUE(honeypot.log().empty());
+}
+
+TEST(ParallelDetect, TelescopeRecordsGlobalCounters) {
+  // The global telescope.* counters must rise by exactly the packets and
+  // backscatter one detect() saw, whatever the shard count: shards feed
+  // only their own victims' backscatter, so none may count only that as
+  // "seen". How closed flows divide between swept and flushed depends on
+  // the shard count (each shard sweeps on its own packets); their sum does
+  // not.
+  const auto& workload = shared_workload();
+  const std::uint64_t backscatter = static_cast<std::uint64_t>(std::count_if(
+      workload.packets.begin(), workload.packets.end(),
+      [](const net::PacketRecord& rec) {
+        return telescope::is_backscatter(rec);
+      }));
+  ASSERT_GT(backscatter, 0u);
+  ASSERT_LT(backscatter, workload.packets.size());
+
+  auto& reg = obs::MetricsRegistry::global();
+  const auto read = [&] {
+    return std::vector<std::uint64_t>{
+        reg.counter("telescope.packets_seen").value(),
+        reg.counter("telescope.backscatter_packets").value(),
+        reg.counter("telescope.flows_opened").value(),
+        reg.counter("telescope.flows_swept").value(),
+        reg.counter("telescope.flows_flushed").value(),
+        reg.counter("telescope.events_emitted").value()};
+  };
+  const std::pair<int, int> configs[] = {{1, 0}, {2, 0}, {3, 13}};
+  for (const auto& [threads, shards] : configs) {
+    SCOPED_TRACE("threads=" + std::to_string(threads) +
+                 " shards=" + std::to_string(shards));
+    ParallelBackscatterDetector detector(ParallelConfig{threads, shards});
+    const auto before = read();
+    const auto events = detector.detect(workload.packets);
+    const auto after = read();
+    EXPECT_EQ(after[0] - before[0], workload.packets.size());
+    EXPECT_EQ(after[1] - before[1], backscatter);
+    const std::uint64_t opened = after[2] - before[2];
+    EXPECT_GT(opened, 0u);
+    EXPECT_EQ((after[3] - before[3]) + (after[4] - before[4]), opened);
+    EXPECT_EQ(after[5] - before[5], events.size());
+  }
+}
+
+TEST(ParallelDetect, TelescopeEmptyAndBackscatterFreeCaptures) {
+  std::vector<net::PacketRecord> scans;
+  for (const auto& rec : shared_workload().packets)
+    if (!telescope::is_backscatter(rec)) scans.push_back(rec);
+  ASSERT_FALSE(scans.empty());
+
+  const std::pair<int, int> configs[] = {{1, 0}, {2, 0}, {3, 13}};
+  for (const auto& [threads, shards] : configs) {
+    SCOPED_TRACE("threads=" + std::to_string(threads) +
+                 " shards=" + std::to_string(shards));
+    ParallelBackscatterDetector detector(ParallelConfig{threads, shards});
+    EXPECT_TRUE(detector.detect({}).empty());
+    EXPECT_EQ(detector.stats().packets_seen, 0u);
+    EXPECT_EQ(detector.stats().backscatter_packets, 0u);
+
+    EXPECT_TRUE(detector.detect(scans).empty());
+    EXPECT_EQ(detector.stats().packets_seen, scans.size());
+    EXPECT_EQ(detector.stats().backscatter_packets, 0u);
+    EXPECT_EQ(detector.stats().flows_filtered, 0u);
+    EXPECT_EQ(detector.stats().events_emitted, 0u);
+  }
+}
+
+TEST(ParallelDetect, ConsolidateEmptyLogs) {
+  const std::vector<amppot::RequestRecord> none;
+  const std::vector<HoneypotLog> empty_logs = {{0, none}, {1, none}, {2, none}};
+  for (const int threads : {1, 4}) {
+    const ParallelConfig config{threads, 0};
+    EXPECT_TRUE(parallel_consolidate({}, {}, config).empty());
+    EXPECT_TRUE(parallel_consolidate(empty_logs, {}, config).empty());
+  }
+}
+
+TEST(ParallelDetect, ConsolidateMoreThreadsThanLogs) {
+  auto logs = logs_of(shared_workload());
+  // The three busiest logs, so the fleet merge has overlaps to fold.
+  std::sort(logs.begin(), logs.end(),
+            [](const HoneypotLog& a, const HoneypotLog& b) {
+              return a.requests.size() > b.requests.size();
+            });
+  logs.resize(3);
+
+  std::vector<amppot::AmpPotEvent> stage1;
+  for (const auto& log : logs) {
+    const auto events =
+        amppot::consolidate_log(log.requests, {}, log.honeypot_id);
+    stage1.insert(stage1.end(), events.begin(), events.end());
+  }
+  const auto expected = amppot::merge_fleet_events(std::move(stage1));
+  ASSERT_FALSE(expected.empty());
+  expect_identical(parallel_consolidate(logs, {}, ParallelConfig{8, 0}),
+                   expected, "threads=8 logs=3");
 }
 
 // --- FrameBuilder parallel build ---------------------------------------

@@ -462,7 +462,7 @@ constexpr std::string_view kDetectUsage =
     "  --save-pcap F   write the synthetic telescope capture to F\n"
     "                  (LINKTYPE_RAW) and exit\n"
     "  --threads N     worker threads (default 1)\n"
-    "  --shards N      victim-hash shards (default: one per thread)\n"
+    "  --shards N      telescope victim shards (default: one per thread)\n"
     "  --save-events F write the fused events as a binary dump\n"
     "  --metrics-out F write pipeline metrics after the run\n"
     "                  (.prom -> Prometheus text, else JSON)\n"
