@@ -7,8 +7,8 @@
 //      pipeline and the analytic observation tier on shared ground truth.
 #include "bench_common.h"
 #include "amppot/fleet.h"
+#include "parallel/detect.h"
 #include "sim/observe.h"
-#include "telescope/pipeline.h"
 #include "telescope/synthesizer.h"
 
 namespace {
@@ -72,15 +72,11 @@ void threshold_sweep() {
       {{25, 60.0, 0.5}, 1800.0},  // long flow timeout (merges attacks)
   };
   for (const auto& row : rows) {
-    telescope::Pipeline pipeline;
-    auto& rsdos =
-        pipeline.emplace_plugin<telescope::RsdosPlugin>(row.t, row.timeout);
-    pipeline.replay(packets);
-    pipeline.finish();
+    parallel::ParallelBackscatterDetector detector({1, 0}, row.t, row.timeout);
     table.add_row({std::to_string(row.t.min_packets),
                    fixed(row.t.min_duration_s, 0) + "s",
                    fixed(row.t.min_max_pps, 1), fixed(row.timeout, 0) + "s",
-                   std::to_string(rsdos.events().size())});
+                   std::to_string(detector.detect(packets).size())});
   }
   std::cout << table;
   std::cout << "Expectation: relaxing any threshold admits more events; the\n"
@@ -136,11 +132,8 @@ void tier_agreement() {
     spec.ports = {80};
     telescope::TelescopeSynthesizer synthesizer(static_cast<std::uint64_t>(902 + i));
     const auto packets = synthesizer.synthesize({&spec, 1}, 0.0, 5e5);
-    telescope::Pipeline pipeline;
-    auto& rsdos = pipeline.emplace_plugin<telescope::RsdosPlugin>();
-    pipeline.replay(packets);
-    pipeline.finish();
-    const bool packet_detected = !rsdos.events().empty();
+    parallel::ParallelBackscatterDetector detector({1, 0});
+    const bool packet_detected = !detector.detect(packets).empty();
 
     sim::GroundTruthAttack attack;
     attack.kind = sim::AttackKind::kDirect;

@@ -170,16 +170,15 @@ int run(int argc, char** argv) {
   });
   const double seq_pps = packets / seq_timing.seconds_per_iter;
 
-  ingest::IngestOptions timed;  // defaults: batch 4096, ring 8, block
+  ingest::IngestOptions timed;  // defaults: batch 4096, ring 8
   const auto batched_timing = measure(min_measure_s, [&] {
     MemBuf buf(pcap);
     std::istream in(&buf);
     std::uint64_t count = 0;
-    ingest::run_ingest(
-        in, timed,
-        ingest::RecordBatchSink([&](std::span<const net::PacketRecord> recs) {
-          count += recs.size();
-        }));
+    ingest::run_ingest(in, timed,
+                       [&](std::span<const net::PacketRecord> recs) {
+                         count += recs.size();
+                       });
     return count;
   });
   const double batched_pps = packets / batched_timing.seconds_per_iter;

@@ -3,8 +3,9 @@
 // same ground truth.
 //
 // With --smoke the binary instead runs the instrumentation-overhead gate:
-// the full Moore pipeline is timed over the same synthetic capture with the
-// obs layer enabled and disabled in alternating runs, and the min-of-N ratio
+// the production telescope detector (ParallelBackscatterDetector at one
+// thread) is timed over the same synthetic capture with the obs layer
+// enabled and disabled in alternating runs, and the min-of-N ratio
 // must stay within the <= 3% overhead budget (exit 1 otherwise). The result
 // is written as BENCH_micro_pipeline.json for CI to archive.
 //
@@ -22,13 +23,20 @@
 #include "meta/prefix_map.h"
 #include "net/pcap.h"
 #include "obs/metrics.h"
+#include "parallel/detect.h"
 #include "sim/observe.h"
-#include "telescope/pipeline.h"
 #include "telescope/synthesizer.h"
 
 namespace {
 
 using namespace dosm;
+
+/// One single-threaded pass of the production telescope detector; returns
+/// the event count so the optimizer cannot elide the work.
+std::size_t detect_events(const std::vector<net::PacketRecord>& packets) {
+  parallel::ParallelBackscatterDetector detector({1, 0});
+  return detector.detect(packets).size();
+}
 
 std::vector<net::PacketRecord> synth_capture(std::size_t target_packets) {
   telescope::TelescopeSynthesizer synthesizer(1);
@@ -68,13 +76,7 @@ BENCHMARK(BM_PacketDecode);
 
 void BM_MoorePipeline(benchmark::State& state) {
   const auto packets = synth_capture(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    telescope::Pipeline pipeline;
-    auto& rsdos = pipeline.emplace_plugin<telescope::RsdosPlugin>();
-    pipeline.replay(packets);
-    pipeline.finish();
-    benchmark::DoNotOptimize(rsdos.events().size());
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(detect_events(packets));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(packets.size()));
 }
@@ -158,11 +160,7 @@ void BM_AblationPacketTier(benchmark::State& state) {
   for (auto _ : state) {
     telescope::TelescopeSynthesizer synthesizer(seed++);
     const auto packets = synthesizer.synthesize({&spec, 1}, 0.0, 600.0);
-    telescope::Pipeline pipeline;
-    auto& rsdos = pipeline.emplace_plugin<telescope::RsdosPlugin>();
-    pipeline.replay(packets);
-    pipeline.finish();
-    benchmark::DoNotOptimize(rsdos.events().size());
+    benchmark::DoNotOptimize(detect_events(packets));
   }
 }
 BENCHMARK(BM_AblationPacketTier);
@@ -172,7 +170,7 @@ BENCHMARK(BM_AblationPacketTier);
 //
 // The no-perturbation invariant (byte-identical dumps with metrics on/off) is
 // enforced elsewhere; this gate bounds the *cost* side of the contract. The
-// full Moore pipeline is the most counter-dense code path (per-packet
+// Moore detector is the most counter-dense code path (per-packet
 // telescope counters plus per-flow threshold accounting), so it is the
 // workload most sensitive to a regression in the striped-counter fast path.
 // Enabled and disabled runs alternate so slow drift (thermal, cache state)
@@ -180,21 +178,11 @@ BENCHMARK(BM_AblationPacketTier);
 // the least noisy location statistic on a shared machine.
 // ---------------------------------------------------------------------------
 
-/// One full pipeline pass over the capture; returns the event count so the
-/// optimizer cannot elide the work.
-std::size_t pipeline_pass(const std::vector<net::PacketRecord>& packets) {
-  telescope::Pipeline pipeline;
-  auto& rsdos = pipeline.emplace_plugin<telescope::RsdosPlugin>();
-  pipeline.replay(packets);
-  pipeline.finish();
-  return rsdos.events().size();
-}
-
 double time_pass(const std::vector<net::PacketRecord>& packets) {
   static volatile std::size_t sink = 0;
   using clock = std::chrono::steady_clock;  // lint:allow(wall-clock): benchmarks time real execution
   const auto begin = clock::now();
-  sink = sink + pipeline_pass(packets);
+  sink = sink + detect_events(packets);
   return std::chrono::duration<double>(clock::now() - begin).count();
 }
 
@@ -214,9 +202,9 @@ int run_smoke(const std::string& out_path) {
   // Warm-up pass on each side so first-touch page faults and lazy metric
   // registration do not land inside a measured run.
   obs::set_enabled(true);
-  pipeline_pass(packets);
+  detect_events(packets);
   obs::set_enabled(false);
-  pipeline_pass(packets);
+  detect_events(packets);
 
   double min_enabled = 0.0;
   double min_disabled = 0.0;

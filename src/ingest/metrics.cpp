@@ -25,10 +25,6 @@ Metrics& Metrics::get() {
                     "IPv4"),
         reg.counter("ingest.ring.pushed", "Batches pushed into the SPSC ring"),
         reg.counter("ingest.ring.popped", "Batches popped from the SPSC ring"),
-        reg.counter("ingest.ring.dropped_batches",
-                    "Batches dropped by the kDrop backpressure policy"),
-        reg.counter("ingest.ring.dropped_frames",
-                    "Frames inside batches dropped by the kDrop policy"),
         reg.counter("ingest.ring.producer_waits",
                     "Producer blocking waits on a full ring"),
         reg.counter("ingest.ring.consumer_waits",

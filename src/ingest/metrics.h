@@ -27,8 +27,6 @@ struct Metrics {
   // SPSC ring backpressure.
   obs::Counter& ring_pushed;
   obs::Counter& ring_popped;
-  obs::Counter& ring_dropped_batches;  // kDrop policy only
-  obs::Counter& ring_dropped_frames;
   obs::Counter& ring_producer_waits;
   obs::Counter& ring_consumer_waits;
   obs::Histogram& ring_occupancy;      // batches queued, sampled per push

@@ -1,6 +1,7 @@
 #include "ingest/pipeline.h"
 
 #include <exception>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -11,15 +12,10 @@
 namespace dosm::ingest {
 
 IngestStats run_ingest(std::istream& pcap_stream, const IngestOptions& options,
-                       const PacketSink& sink) {
-  return run_ingest(pcap_stream, options,
-                    RecordBatchSink([&](std::span<const net::PacketRecord> records) {
-                      for (const net::PacketRecord& rec : records) sink(rec);
-                    }));
-}
-
-IngestStats run_ingest(std::istream& pcap_stream, const IngestOptions& options,
                        const RecordBatchSink& sink) {
+  // A zero-frame batch never reaches the end of the capture.
+  if (options.batch_frames == 0)
+    throw std::invalid_argument("run_ingest: batch_frames must be >= 1");
   BatchedPcapReader reader(pcap_stream, options.read_chunk_bytes);
   const std::uint32_t link_type = reader.link_type();
   SpscRing<FrameBatch> ring(options.ring_capacity);
@@ -39,15 +35,9 @@ IngestStats run_ingest(std::istream& pcap_stream, const IngestOptions& options,
       FrameBatch batch;
       while (reader.next_batch(batch, options.batch_frames)) {
         metrics.ring_occupancy.observe(static_cast<double>(ring.size()));
-        if (options.policy == Backpressure::kBlock) {
-          ring.push(batch);
-        } else if (!ring.try_push(batch)) {
-          ++stats.dropped_batches;
-          stats.dropped_frames += batch.size();
-          continue;  // batch keeps its storage; next_batch clears it
-        }
-        // Pushed (moved away): grab a recycled batch if one is waiting,
-        // otherwise continue with the empty moved-from shell.
+        ring.push(batch);
+        // Moved away: grab a recycled batch if one is waiting, otherwise
+        // continue with the empty moved-from shell.
         recycle.try_pop(batch);
       }
     } catch (...) {
@@ -93,10 +83,6 @@ IngestStats run_ingest(std::istream& pcap_stream, const IngestOptions& options,
       ring_stats.producer_waits.load(std::memory_order_relaxed));
   metrics.ring_consumer_waits.add(
       ring_stats.consumer_waits.load(std::memory_order_relaxed));
-  if (stats.dropped_batches > 0) {
-    metrics.ring_dropped_batches.add(stats.dropped_batches);
-    metrics.ring_dropped_frames.add(stats.dropped_frames);
-  }
 
   if (capture_error) std::rethrow_exception(capture_error);
   return stats;
@@ -106,9 +92,9 @@ std::vector<net::PacketRecord> read_packets(std::istream& pcap_stream,
                                             const IngestOptions& options) {
   std::vector<net::PacketRecord> packets;
   run_ingest(pcap_stream, options,
-             RecordBatchSink([&](std::span<const net::PacketRecord> records) {
+             [&](std::span<const net::PacketRecord> records) {
                packets.insert(packets.end(), records.begin(), records.end());
-             }));
+             });
   return packets;
 }
 

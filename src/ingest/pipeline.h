@@ -3,17 +3,15 @@
 // run_ingest wires the pieces together: a capture thread slices the pcap
 // stream into FrameBatches (ingest/batch.h) and pushes them through a
 // bounded SPSC ring (ingest/ring.h); the calling thread pops batches,
-// decodes them (ingest/decode.h), and hands each PacketRecord to the sink
-// in capture order.
+// decodes them (ingest/decode.h), and hands each decoded batch of
+// PacketRecords to the sink in capture order.
 //
-// Determinism contract: with the default kBlock backpressure policy the
-// sink sees exactly the packet sequence PcapReader::next_packet would have
-// produced — at any batch size and any ring capacity. The SPSC ring is
-// strictly FIFO and nothing is dropped; batching changes only how bytes
-// move, never what they decode to. kDrop trades that contract for bounded
-// capture-side latency: full-ring batches are discarded and counted
-// (ingest.ring.dropped_*), which a live telescope prefers over stalling
-// the capture, but replays and tests use kBlock.
+// Determinism contract: the sink sees exactly the packet sequence
+// PcapReader::next_packet would have produced — at any batch size and any
+// ring capacity. A full ring stalls the capture thread; the SPSC ring is
+// strictly FIFO and nothing is dropped, so batching changes only how bytes
+// move, never what they decode to. A lossy ring would change the packet
+// counts the detector's thresholds are defined over.
 //
 // Errors: a malformed record or mid-capture stream error is rethrown on the
 // consumer thread after every frame read before the error has been decoded
@@ -32,16 +30,9 @@
 
 namespace dosm::ingest {
 
-/// What the producer does when the ring is full.
-enum class Backpressure : std::uint8_t {
-  kBlock,  // wait for the consumer (lossless, deterministic)
-  kDrop,   // drop the batch and count it (live-capture latency bound)
-};
-
 struct IngestOptions {
-  std::size_t batch_frames = 4096;    // frames sliced per batch
+  std::size_t batch_frames = 4096;    // frames sliced per batch (>= 1)
   std::size_t ring_capacity = 8;      // batches in flight (rounded to pow2)
-  Backpressure policy = Backpressure::kBlock;
   std::size_t read_chunk_bytes = 256 * 1024;  // istream read granularity
 };
 
@@ -50,28 +41,20 @@ struct IngestStats {
   std::uint64_t frames = 0;
   std::uint64_t packets = 0;         // records delivered to the sink
   std::uint64_t bytes = 0;           // captured payload bytes
-  std::uint64_t dropped_batches = 0; // kDrop policy only
-  std::uint64_t dropped_frames = 0;
   std::uint64_t skipped_link = 0;
   std::uint64_t skipped_truncated = 0;
   std::uint64_t skipped_undecodable = 0;
 };
 
-using PacketSink = std::function<void(const net::PacketRecord&)>;
 /// Batch-granular sink: one call per decoded batch, records in capture
 /// order. The span is valid only for the duration of the call.
 using RecordBatchSink = std::function<void(std::span<const net::PacketRecord>)>;
 
 /// Replays `pcap_stream` through the capture-thread -> ring -> decode
-/// pipeline, invoking `sink` for every decoded packet in capture order.
-/// Throws std::runtime_error on malformed input or stream errors (after
-/// sinking every packet that preceded the error).
-IngestStats run_ingest(std::istream& pcap_stream, const IngestOptions& options,
-                       const PacketSink& sink);
-
-/// Same pipeline, but the sink is called once per batch with all of its
-/// records — the per-record std::function dispatch disappears from the hot
-/// loop, which matters at line rate. Packet order is identical.
+/// pipeline, invoking `sink` once per decoded batch in capture order.
+/// Throws std::invalid_argument when options.batch_frames is 0, and
+/// std::runtime_error on malformed input or stream errors (after sinking
+/// every packet that preceded the error).
 IngestStats run_ingest(std::istream& pcap_stream, const IngestOptions& options,
                        const RecordBatchSink& sink);
 

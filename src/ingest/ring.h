@@ -10,8 +10,7 @@
 //    its own consumer rather than widening this one to MPSC.
 //
 //  * Bounded with explicit backpressure. try_push fails when the ring is
-//    full; push blocks. The caller chooses (and counts) the policy — the
-//    ring itself never drops silently.
+//    full; push blocks. The ring itself never drops anything.
 //
 //  * Lost-wakeup-free blocking without any clock. Blocking uses C++20
 //    std::atomic wait/notify on the index words themselves, so a waiter's

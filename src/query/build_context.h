@@ -2,11 +2,12 @@
 //
 // Every path that materializes columnar segments — the batch named
 // constructors on Snapshot and the streaming SnapshotPublisher — needs the
-// same three ingredients: the metadata joins resolved at build time
-// (pfx2as, geo) and the worker count for the deterministic parallel frame
-// build. BuildContext is that one bag of arguments, replacing the six
-// positional parameters the old Snapshot::build / from_store /
-// SnapshotPublisher signatures spread across call sites.
+// same ingredients: the metadata joins resolved at build time (pfx2as,
+// geo) and the segment layout. BuildContext is that one bag of arguments,
+// replacing the positional parameters the old Snapshot::build / from_store
+// / SnapshotPublisher signatures spread across call sites. Set the knobs by
+// name (`ctx.segment_days = 7` or designated initializers), never
+// positionally.
 //
 // Lifetimes: the metadata maps are BORROWED. For the batch builders they
 // must stay alive for the duration of the build call; a SnapshotPublisher
@@ -27,9 +28,6 @@ struct BuildContext {
   const meta::PrefixToAsMap& pfx2as;
   /// Geolocation database; resolved per event at build time.
   const meta::GeoDatabase& geo;
-  /// Worker threads per segment build. Any value yields byte-identical
-  /// frames (see FrameBuilder::build(int)).
-  int threads = 1;
   /// Batch-build segmentation: days per sealed FrameSegment. 0 keeps the
   /// whole dataset in a single segment (the full-rebuild layout). The
   /// streaming SnapshotPublisher always seals one segment per completed

@@ -91,7 +91,7 @@ void SnapshotPublisher::seal_and_publish() {
   EngineMetrics& metrics = EngineMetrics::get();
   const obs::ScopedTimer timer(metrics.publish_seconds);
   metrics.segments_reused.add(sealed_.size());
-  sealed_.push_back(seal_segment(day_builder_, ctx_));
+  sealed_.push_back(seal_segment(day_builder_));
   day_builder_ = FrameBuilder(window_, ctx_.pfx2as, ctx_.geo);
   engine_->publish(
       std::make_shared<const Snapshot>(window_, sealed_, next_version_));

@@ -1,14 +1,9 @@
 #include "query/event_frame.h"
 
 #include <algorithm>
-#include <functional>
-#include <iterator>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
-
-#include "parallel/merge.h"
-#include "parallel/work_queue.h"
 
 namespace dosm::query {
 
@@ -76,41 +71,19 @@ void FrameBuilder::add(std::span<const core::AttackEvent> events) {
   for (const auto& event : events) add(event);
 }
 
-EventFrame FrameBuilder::build() const { return build(1); }
-
-EventFrame FrameBuilder::build(int threads) const {
+EventFrame FrameBuilder::build() const {
   // Total order: the trailing row index breaks (start, target, source) ties
   // (e.g. a telescope and honeypot event fusing to the same key fields), so
-  // the permutation is unique and the parallel block-sort + merge lands on
-  // exactly the sequential std::sort result.
-  const auto less = [this](std::uint32_t a, std::uint32_t b) {
+  // the permutation is unique.
+  const std::size_t n = rows_.size();
+  std::vector<std::uint32_t> order(n);
+  for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [this](std::uint32_t a, std::uint32_t b) {
     const Row& ra = rows_[a];
     const Row& rb = rows_[b];
     return std::tie(ra.start, ra.target, ra.source, a) <
            std::tie(rb.start, rb.target, rb.source, b);
-  };
-
-  const std::size_t n = rows_.size();
-  std::vector<std::uint32_t> order;
-  if (threads <= 1 || n < 2) {
-    order.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), less);
-  } else {
-    const std::size_t blocks =
-        std::min<std::size_t>(static_cast<std::size_t>(threads), n);
-    std::vector<std::vector<std::uint32_t>> runs(blocks);
-    parallel::run_tasks(blocks, threads, [&](std::size_t b) {
-      const std::size_t lo = n * b / blocks;
-      const std::size_t hi = n * (b + 1) / blocks;
-      auto& run = runs[b];
-      run.resize(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i)
-        run[i - lo] = static_cast<std::uint32_t>(i);
-      std::sort(run.begin(), run.end(), less);
-    });
-    order = parallel::kway_merge(std::move(runs), less);
-  }
+  });
 
   EventFrame frame;
   frame.window_ = window_;
@@ -124,23 +97,19 @@ EventFrame FrameBuilder::build(int threads) const {
   frame.asn_.resize(n);
   frame.country_.resize(n);
   frame.day_.resize(n);
-  // One task per column; each writes a disjoint vector, so the gather is
-  // race-free and trivially deterministic.
-  const std::function<void(std::size_t)> gather[] = {
-      [&](std::size_t i) { frame.start_[i] = rows_[order[i]].start; },
-      [&](std::size_t i) { frame.end_[i] = rows_[order[i]].end; },
-      [&](std::size_t i) { frame.intensity_[i] = rows_[order[i]].intensity; },
-      [&](std::size_t i) { frame.target_[i] = rows_[order[i]].target; },
-      [&](std::size_t i) { frame.source_[i] = rows_[order[i]].source; },
-      [&](std::size_t i) { frame.ip_proto_[i] = rows_[order[i]].ip_proto; },
-      [&](std::size_t i) { frame.top_port_[i] = rows_[order[i]].top_port; },
-      [&](std::size_t i) { frame.asn_[i] = rows_[order[i]].asn; },
-      [&](std::size_t i) { frame.country_[i] = rows_[order[i]].country; },
-      [&](std::size_t i) { frame.day_[i] = rows_[order[i]].day; },
-  };
-  parallel::run_tasks(std::size(gather), threads, [&](std::size_t column) {
-    for (std::size_t i = 0; i < n; ++i) gather[column](i);
-  });
+  for (std::size_t i = 0; i < n; ++i) {
+    const Row& row = rows_[order[i]];
+    frame.start_[i] = row.start;
+    frame.end_[i] = row.end;
+    frame.intensity_[i] = row.intensity;
+    frame.target_[i] = row.target;
+    frame.source_[i] = row.source;
+    frame.ip_proto_[i] = row.ip_proto;
+    frame.top_port_[i] = row.top_port;
+    frame.asn_[i] = row.asn;
+    frame.country_[i] = row.country;
+    frame.day_[i] = row.day;
+  }
   return frame;
 }
 

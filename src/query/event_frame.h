@@ -114,16 +114,11 @@ class FrameBuilder {
   std::size_t size() const { return rows_.size(); }
 
   /// Sorts rows by (start, target, source, insertion index) and emits the
-  /// frame. The trailing index makes the key a total order, so the sorted
-  /// permutation — and the frame — is identical however the sort is
-  /// executed. The builder keeps its rows, so it can keep accumulating and
-  /// build again (the streaming publisher rebuilds at every day boundary).
+  /// frame. The trailing index makes the key a total order, so rows with
+  /// equal (start, target, source) keep their insertion order. The builder
+  /// keeps its rows, so it can keep accumulating and build again (the
+  /// streaming publisher rebuilds at every day boundary).
   EventFrame build() const;
-
-  /// Same frame, built with up to `threads` workers: rows are block-sorted
-  /// in parallel, k-way merged deterministically, and the columns gathered
-  /// concurrently. Byte-identical to build() for any thread count.
-  EventFrame build(int threads) const;
 
  private:
   struct Row {

@@ -33,12 +33,10 @@ struct SegmentMetrics {
 
 }  // namespace
 
-std::shared_ptr<const FrameSegment> seal_segment(const FrameBuilder& builder,
-                                                 const BuildContext& ctx) {
+std::shared_ptr<const FrameSegment> seal_segment(const FrameBuilder& builder) {
   SegmentMetrics& metrics = SegmentMetrics::get();
   const obs::ScopedTimer timer(metrics.seal_seconds);
-  auto segment =
-      std::make_shared<const FrameSegment>(builder.build(ctx.threads));
+  auto segment = std::make_shared<const FrameSegment>(builder.build());
   metrics.sealed.inc();
   metrics.rows_sealed.add(segment->size());
   return segment;
@@ -53,7 +51,7 @@ std::vector<std::shared_ptr<const FrameSegment>> build_segments(
   if (ctx.segment_days <= 0) {
     FrameBuilder builder(window, ctx.pfx2as, ctx.geo);
     builder.add(events);
-    segments.push_back(seal_segment(builder, ctx));
+    segments.push_back(seal_segment(builder));
     return segments;
   }
 
@@ -83,7 +81,7 @@ std::vector<std::shared_ptr<const FrameSegment>> build_segments(
   }
   segments.reserve(buckets.size());
   for (const auto& [key, builder] : buckets)
-    segments.push_back(seal_segment(builder, ctx));
+    segments.push_back(seal_segment(builder));
   return segments;
 }
 

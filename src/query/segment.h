@@ -55,11 +55,10 @@ class FrameSegment {
   FrameIndex index_;
 };
 
-/// Seals one segment from an accumulated builder: parallel frame build
-/// (ctx.threads workers, byte-identical for any count) + index build, with
-/// query.segment.* seal metrics recorded. The builder must be non-empty.
-std::shared_ptr<const FrameSegment> seal_segment(const FrameBuilder& builder,
-                                                 const BuildContext& ctx);
+/// Seals one segment from an accumulated builder: frame build + index
+/// build, with query.segment.* seal metrics recorded. The builder must be
+/// non-empty.
+std::shared_ptr<const FrameSegment> seal_segment(const FrameBuilder& builder);
 
 /// Buckets a raw event span by start time and seals one segment per
 /// non-empty bucket, in time order. ctx.segment_days controls granularity:

@@ -67,7 +67,7 @@ class Snapshot {
   /// Builds a snapshot over a raw event span. Metadata and build knobs come
   /// from the context (metadata borrowed only during the build);
   /// ctx.segment_days picks the segment granularity — every granularity
-  /// and thread count yields identical query results.
+  /// yields identical query results.
   static std::shared_ptr<const Snapshot> build(
       StudyWindow window, std::span<const core::AttackEvent> events,
       const BuildContext& ctx, std::uint64_t version = 0);

@@ -58,17 +58,6 @@ bool event_less(const TelescopeEvent& a, const TelescopeEvent& b) {
 
 bool passes_thresholds(const TelescopeEvent& event,
                        const ClassifierThresholds& thresholds) {
-  if (event.packets < thresholds.min_packets) return false;
-  if (event.duration() < thresholds.min_duration_s) return false;
-  // max_pps is per one-minute bucket; the threshold (0.5 pps at the
-  // telescope = ~128 pps at the victim after the x256 correction) is
-  // expressed in packets/sec.
-  if (event.max_pps < thresholds.min_max_pps) return false;
-  return true;
-}
-
-bool passes_thresholds_recorded(const TelescopeEvent& event,
-                                const ClassifierThresholds& thresholds) {
   Metrics& metrics = Metrics::get();
   if (event.packets < thresholds.min_packets) {
     metrics.reject_min_packets.inc();
@@ -78,6 +67,9 @@ bool passes_thresholds_recorded(const TelescopeEvent& event,
     metrics.reject_min_duration.inc();
     return false;
   }
+  // max_pps is per one-minute bucket; the threshold (0.5 pps at the
+  // telescope = ~128 pps at the victim after the x256 correction) is
+  // expressed in packets/sec.
   if (event.max_pps < thresholds.min_max_pps) {
     metrics.reject_min_pps.inc();
     return false;
@@ -196,7 +188,7 @@ BackscatterDetector::BackscatterDetector(EventCallback on_event,
       thresholds_(thresholds),
       flows_(
           [this](const TelescopeEvent& event) {
-            if (passes_thresholds_recorded(event, thresholds_)) {
+            if (passes_thresholds(event, thresholds_)) {
               ++events_emitted_;
               on_event_(event);
             } else {

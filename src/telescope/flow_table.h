@@ -49,17 +49,12 @@ struct ClassifierThresholds {
   double min_max_pps = 0.5;  // max packet rate in any minute, at the telescope
 };
 
-/// True if the aggregated flow passes all three thresholds.
+/// True if the aggregated flow passes all three thresholds (each cutoff is
+/// inclusive). Records the outcome in the global metrics registry:
+/// telescope.events_emitted on pass, telescope.reject.{min_packets,
+/// min_duration,min_pps} on the first failing threshold.
 bool passes_thresholds(const TelescopeEvent& event,
                        const ClassifierThresholds& thresholds);
-
-/// Same predicate, but records the outcome in the global metrics registry:
-/// telescope.events_emitted on pass, telescope.reject.{min_packets,
-/// min_duration,min_pps} on the first failing threshold. Detection paths
-/// (sequential and sharded) call this variant; the plain predicate stays for
-/// tests and sweeps that must not touch process-wide counters.
-bool passes_thresholds_recorded(const TelescopeEvent& event,
-                                const ClassifierThresholds& thresholds);
 
 /// Aggregates classified backscatter into flows and emits expired flows.
 ///

@@ -11,10 +11,9 @@ void Pipeline::process(const net::PacketRecord& rec) {
 std::uint64_t Pipeline::replay(std::istream& pcap_stream,
                                const ingest::IngestOptions& options) {
   const auto stats = ingest::run_ingest(
-      pcap_stream, options,
-      ingest::RecordBatchSink([this](std::span<const net::PacketRecord> records) {
+      pcap_stream, options, [this](std::span<const net::PacketRecord> records) {
         for (const net::PacketRecord& rec : records) process(rec);
-      }));
+      });
   return stats.packets;
 }
 

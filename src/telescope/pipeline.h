@@ -47,9 +47,9 @@ class Pipeline {
 
   /// Replays an entire pcap stream through the batched ingest front end
   /// (capture thread -> SPSC ring -> decode on this thread); returns the
-  /// number of decoded packets. With the default kBlock policy the plugins
-  /// see exactly the packet sequence the sequential reader would produce,
-  /// at any batch size and ring capacity.
+  /// number of decoded packets. The plugins see exactly the packet
+  /// sequence the sequential reader would produce, at any batch size and
+  /// ring capacity.
   std::uint64_t replay(std::istream& pcap_stream,
                        const ingest::IngestOptions& options = {});
 

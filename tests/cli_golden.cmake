@@ -86,8 +86,8 @@ set(aggs summary daily top-targets top-asns top-countries events)
 set(filter --agg events --source telescope --port 80
            --from 2015-03-10 --to 2015-03-31)
 
-# `query` output is the same for any segmenting and build thread count.
-foreach(segments "" "--segment-days;1;--threads;4" "--segment-days;7")
+# `query` output is the same for any segmenting.
+foreach(segments "" "--segment-days;1" "--segment-days;7")
   foreach(agg IN LISTS aggs)
     check(query-${agg}-explain.txt query ${world} --agg ${agg} --k 25
           --explain ${segments})

@@ -1,11 +1,12 @@
 // Batched ingest tests: SPSC ring units, batched-vs-sequential identity
 // (packets and TelescopeEvents, parameterized over batch size x ring
 // capacity), the ingest-edge bugfix regressions (mid-stream I/O errors,
-// snaplen truncation, VLAN tags), and skip accounting.
+// snaplen truncation, VLAN tags, zero-frame batches), and skip accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -134,6 +135,13 @@ void expect_same_packets(const std::vector<PacketRecord>& a,
   ASSERT_EQ(a.size(), b.size()) << label;
   for (std::size_t i = 0; i < a.size(); ++i)
     ASSERT_EQ(record_key(a[i]), record_key(b[i])) << label << " packet " << i;
+}
+
+/// Batch sink appending every delivered record to `out`.
+ingest::RecordBatchSink append_to(std::vector<PacketRecord>& out) {
+  return [&out](std::span<const PacketRecord> records) {
+    out.insert(out.end(), records.begin(), records.end());
+  };
 }
 
 std::uint64_t counter_value(const char* name) {
@@ -377,15 +385,28 @@ TEST(IngestErrors, BatchedReaderThrowsOnMidCaptureStreamError) {
   IngestOptions options;
   options.read_chunk_bytes = 4096;
   std::vector<PacketRecord> seen;
-  EXPECT_THROW(
-      ingest::run_ingest(in, options,
-                         [&](const PacketRecord& rec) { seen.push_back(rec); }),
-      std::runtime_error);
+  EXPECT_THROW(ingest::run_ingest(in, options, append_to(seen)),
+               std::runtime_error);
   // Every packet before the failure point was still delivered, in order.
   const auto expected = sequential_packets(pcap);
   ASSERT_LT(seen.size(), expected.size());
   for (std::size_t i = 0; i < seen.size(); ++i)
     ASSERT_EQ(record_key(seen[i]), record_key(expected[i]));
+}
+
+TEST(IngestErrors, ZeroBatchFramesIsRejected) {
+  // A zero-frame batch never reaches the end of the capture, so the capture
+  // thread would hand the consumer empty batches forever.
+  const std::string pcap = to_pcap(make_capture(29, 10));
+  IngestOptions options;
+  options.batch_frames = 0;
+  std::istringstream in(pcap, std::ios::binary);
+  std::vector<PacketRecord> seen;
+  EXPECT_THROW(ingest::run_ingest(in, options, append_to(seen)),
+               std::invalid_argument);
+  EXPECT_TRUE(seen.empty());
+  std::istringstream again(pcap, std::ios::binary);
+  EXPECT_THROW(ingest::read_packets(again, options), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -446,8 +467,7 @@ TEST(IngestSkips, VlanAndLinkSkipsMatchSequential) {
   IngestOptions options;
   options.batch_frames = 2;
   std::vector<PacketRecord> batched;
-  const auto stats = ingest::run_ingest(
-      in, options, [&](const PacketRecord& rec) { batched.push_back(rec); });
+  const auto stats = ingest::run_ingest(in, options, append_to(batched));
   expect_same_packets(batched, expected, "ethernet");
   EXPECT_EQ(stats.frames, 6u);
   EXPECT_EQ(stats.packets, 3u);
@@ -472,38 +492,11 @@ TEST(IngestSkips, SnaplenTruncatedFramesAreCountedNotDecoded) {
       counter_value("ingest.skipped.truncated");
   std::istringstream in(pcap, std::ios::binary);
   std::vector<PacketRecord> batched;
-  const auto stats = ingest::run_ingest(
-      in, {}, [&](const PacketRecord& rec) { batched.push_back(rec); });
+  const auto stats = ingest::run_ingest(in, {}, append_to(batched));
   EXPECT_TRUE(batched.empty());
   EXPECT_EQ(stats.frames, 8u);
   EXPECT_EQ(stats.skipped_truncated, 8u);
   EXPECT_EQ(counter_value("ingest.skipped.truncated"), truncated_before + 8u);
-}
-
-// ---------------------------------------------------------------------------
-// Drop policy
-// ---------------------------------------------------------------------------
-
-TEST(IngestDropPolicy, DropsAreCountedNeverSilent) {
-  // Tiny ring + a sink slow enough (per batch) that the producer laps it.
-  const std::string pcap = to_pcap(make_capture(23, 2000));
-  IngestOptions options;
-  options.batch_frames = 16;
-  options.ring_capacity = 2;
-  options.policy = ingest::Backpressure::kDrop;
-  std::istringstream in(pcap, std::ios::binary);
-  std::uint64_t sunk = 0;
-  volatile std::uint64_t spin_sink = 0;
-  const auto stats = ingest::run_ingest(in, options, [&](const PacketRecord&) {
-    ++sunk;
-    for (int i = 0; i < 2000; ++i) spin_sink = spin_sink + 1;
-  });
-  // Conservation: every frame read is either delivered or counted dropped.
-  EXPECT_EQ(stats.frames + stats.dropped_frames, 2000u);
-  EXPECT_EQ(stats.packets, sunk);
-  if (stats.dropped_batches > 0) {
-    EXPECT_GT(stats.dropped_frames, 0u);
-  }
 }
 
 }  // namespace

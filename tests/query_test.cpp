@@ -7,6 +7,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -166,25 +167,27 @@ INSTANTIATE_TEST_SUITE_P(Seeds, QueryPropertyTest,
                          ::testing::Values(1u, 7u, 42u, 20170301u));
 
 // ---------------------------------------------------------------------------
-// Segmented snapshots: any (segment_days, threads) combination must produce
+// Segmented snapshots: any segment_days granularity must produce
 // results — global row ids included — identical to a single-segment full
 // rebuild and to the oracle. This pins the ordering invariant in segment.h.
 // ---------------------------------------------------------------------------
 
-using SegmentedParam = std::tuple<std::uint64_t, int, int>;
+using SegmentedParam = std::tuple<std::uint64_t, int>;
 
 class SegmentedSnapshotPropertyTest
     : public ::testing::TestWithParam<SegmentedParam> {};
 
 TEST_P(SegmentedSnapshotPropertyTest, AnyGranularityMatchesFullRebuild) {
-  const auto [seed, segment_days, threads] = GetParam();
+  const auto [seed, segment_days] = GetParam();
   const auto scenario = make_scenario(seed, 2000);
   const auto full =
       Snapshot::build(scenario.window, scenario.events,
                       BuildContext{scenario.pfx2as, scenario.geo});
   const auto segmented = Snapshot::build(
       scenario.window, scenario.events,
-      BuildContext{scenario.pfx2as, scenario.geo, threads, segment_days});
+      BuildContext{.pfx2as = scenario.pfx2as,
+                   .geo = scenario.geo,
+                   .segment_days = segment_days});
   const ScanOracle oracle(scenario.events, scenario.window, scenario.pfx2as,
                           scenario.geo);
 
@@ -207,10 +210,66 @@ TEST_P(SegmentedSnapshotPropertyTest, AnyGranularityMatchesFullRebuild) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    GranularityAndThreads, SegmentedSnapshotPropertyTest,
+    Granularity, SegmentedSnapshotPropertyTest,
     ::testing::Combine(::testing::Values<std::uint64_t>(1u, 20170301u),
-                       ::testing::Values(1, 3, 7),
-                       ::testing::Values(1, 4, 8)));
+                       ::testing::Values(1, 3, 7)));
+
+// ---------------------------------------------------------------------------
+// FrameBuilder: rows sort on (start, target, source) and rows with equal
+// keys keep their insertion order, so the frame is a pure function of the
+// added sequence.
+// ---------------------------------------------------------------------------
+
+TEST(FrameBuilderTest, EqualKeysKeepInsertionOrder) {
+  StudyWindow window;
+  window.end = civil_from_days(days_from_civil(window.start) + 7);
+  const meta::PrefixToAsMap pfx2as;
+  const meta::GeoDatabase geo;
+  FrameBuilder builder(window, pfx2as, geo);
+
+  Rng rng(99);
+  const double t0 = static_cast<double>(window.start_time());
+  std::vector<AttackEvent> added;
+  for (int i = 0; i < 500; ++i) {
+    AttackEvent event;
+    // Small key space on purpose: most (start, target, source) keys repeat.
+    event.target =
+        Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(rng.next_below(16)));
+    event.start = t0 + static_cast<double>(rng.next_below(32)) * 3600.0;
+    event.end = event.start + 60.0;
+    event.source = rng.bernoulli(0.5) ? EventSource::kTelescope
+                                      : EventSource::kHoneypot;
+    event.intensity = static_cast<double>(i);  // the insertion index
+    event.top_port = static_cast<std::uint16_t>(i);
+    added.push_back(event);
+    builder.add(event);
+  }
+
+  const EventFrame frame = builder.build();
+  ASSERT_EQ(frame.size(), added.size());
+  const auto key = [&](std::size_t row) {
+    return std::tuple(frame.start()[row], frame.target()[row],
+                      frame.source()[row]);
+  };
+  std::size_t ties = 0;
+  for (std::size_t row = 0; row < frame.size(); ++row) {
+    const AttackEvent& event =
+        added[static_cast<std::size_t>(frame.intensity()[row])];
+    EXPECT_EQ(frame.start()[row], event.start);
+    EXPECT_EQ(frame.end()[row], event.end);
+    EXPECT_EQ(frame.target()[row], event.target.value());
+    EXPECT_EQ(frame.source()[row], static_cast<std::uint8_t>(event.source));
+    EXPECT_EQ(frame.top_port()[row], event.top_port);
+    if (row == 0) continue;
+    // Strictly increasing (key, insertion index): sorted, ties in insertion
+    // order, and every added event exactly once.
+    EXPECT_LT(std::tuple(key(row - 1), frame.intensity()[row - 1]),
+              std::tuple(key(row), frame.intensity()[row]))
+        << "row " << row;
+    if (key(row - 1) == key(row)) ++ties;
+  }
+  EXPECT_GT(ties, 0u);
+}
 
 TEST(QueryPlannerTest, PicksTheCheapestIndex) {
   const auto scenario = make_scenario(11, 3000);
@@ -464,7 +523,9 @@ TEST(QueryBudgetTest, RowBudgetIsIdenticalAcrossSegmentGranularities) {
   for (const int days : granularities)
     snaps.push_back(Snapshot::build(
         scenario.window, scenario.events,
-        BuildContext{scenario.pfx2as, scenario.geo, 1, days}));
+        BuildContext{.pfx2as = scenario.pfx2as,
+                     .geo = scenario.geo,
+                     .segment_days = days}));
 
   // Find a query whose candidate counts differ across granularities AND
   // exceed its matched count — exactly the shape where candidate-charging

@@ -235,21 +235,11 @@ bool world_flag(Args& args, sim::ScenarioConfig& scenario) {
   return true;
 }
 
-/// How a subcommand builds its snapshot; the output is the same for any
-/// value of either.
-struct BuildFlags {
-  int threads = 1;
-  int segment_days = 0;  // 0 = one segment
-};
-
-/// Reads the current flag if it is a snapshot build option.
-bool build_flag(Args& args, BuildFlags& build) {
-  if (args.is("--threads"))
-    build.threads = args.integer(1, kMaxThreads);
-  else if (args.is("--segment-days"))
-    build.segment_days = args.integer(0);
-  else
-    return false;
+/// Reads the current flag if it is --segment-days, the snapshot's days per
+/// segment (0 = one segment); the output is the same for any value.
+bool segment_days_flag(Args& args, int& segment_days) {
+  if (!args.is("--segment-days")) return false;
+  segment_days = args.integer(0);
   return true;
 }
 
@@ -293,9 +283,9 @@ class LoadedDataset {
   }
 
   std::shared_ptr<const query::Snapshot> snapshot(
-      const BuildFlags& build, std::uint64_t version = 0) const {
-    const query::BuildContext ctx{pfx2as(), geo(), build.threads,
-                                  build.segment_days};
+      int segment_days, std::uint64_t version = 0) const {
+    const query::BuildContext ctx{
+        .pfx2as = pfx2as(), .geo = geo(), .segment_days = segment_days};
     auto snapshot = query::Snapshot::build(window_, events(), ctx, version);
     std::cerr << "[dosmeter] snapshot ready: " << snapshot->size()
               << " events indexed in " << snapshot->num_segments()
@@ -457,8 +447,6 @@ constexpr std::string_view kDetectUsage =
     "                  workload; telescope detection only\n"
     "  --batch-frames N   frames per ingest batch (default 4096)\n"
     "  --ring-capacity N  ingest ring capacity in batches (default 8)\n"
-    "  --ring-policy P    block|drop on a full ring (default block;\n"
-    "                     drop trades determinism for capture latency)\n"
     "  --save-pcap F   write the synthetic telescope capture to F\n"
     "                  (LINKTYPE_RAW) and exit\n"
     "  --threads N     worker threads (default 1)\n"
@@ -468,8 +456,8 @@ constexpr std::string_view kDetectUsage =
     "                  (.prom -> Prometheus text, else JSON)\n"
     "  --quiet         suppress the text summary\n"
     "Output is byte-identical for every --threads/--shards setting, every\n"
-    "--batch-frames/--ring-capacity setting (with the block policy), and\n"
-    "with or without --metrics-out.\n";
+    "--batch-frames/--ring-capacity setting, and with or without\n"
+    "--metrics-out.\n";
 
 DetectOptions parse_detect_options(int argc, char** argv) {
   DetectOptions options;
@@ -495,14 +483,6 @@ DetectOptions parse_detect_options(int argc, char** argv) {
       options.ingest.batch_frames = args.integer<std::size_t>(1, 1 << 24);
     } else if (args.is("--ring-capacity")) {
       options.ingest.ring_capacity = args.integer<std::size_t>(1, 1 << 16);
-    } else if (args.is("--ring-policy")) {
-      const std::string policy = args.value();
-      if (policy == "block")
-        options.ingest.policy = ingest::Backpressure::kBlock;
-      else if (policy == "drop")
-        options.ingest.policy = ingest::Backpressure::kDrop;
-      else
-        args.fail("must be block or drop");
     } else if (args.is("--save-events")) {
       options.save_events = args.value();
     } else if (args.is("--metrics-out")) {
@@ -593,7 +573,7 @@ int detect_main(int argc, char** argv) {
 struct QueryOptions {
   Dataset dataset;
   serve::Params params;  // /query parameters, one per filter flag
-  BuildFlags build;
+  int segment_days = 0;
   std::string metrics_out;
 };
 
@@ -617,8 +597,6 @@ constexpr std::string_view kQueryUsage =
     "  --agg A    summary | daily | top-targets | top-asns | top-countries\n"
     "             | events   (default: summary)\n"
     "  --k N      rows for top-k / events listings (default 10)\n"
-    "  --threads N  worker threads for the snapshot build (default 1;\n"
-    "               identical output for any value)\n"
     "  --segment-days N  days per sealed snapshot segment (default 0 =\n"
     "               one segment; identical output for any value)\n"
     "  --explain  print the planner's chosen access path\n"
@@ -693,7 +671,8 @@ QueryOptions parse_query_options(int argc, char** argv) {
   Args args(argc, argv, 2, kQueryUsage);
   while (args.next()) {
     if (dataset_flag(args, options.dataset) ||
-        query_flag(args, options.params) || build_flag(args, options.build))
+        query_flag(args, options.params) ||
+        segment_days_flag(args, options.segment_days))
       continue;
     if (args.is("--metrics-out"))
       options.metrics_out = args.value();
@@ -706,7 +685,7 @@ QueryOptions parse_query_options(int argc, char** argv) {
 int query_main(int argc, char** argv) {
   const QueryOptions options = parse_query_options(argc, argv);
   const LoadedDataset data(options.dataset);
-  print_aggregation(*data.snapshot(options.build), options.params);
+  print_aggregation(*data.snapshot(options.segment_days), options.params);
   write_metrics(options.metrics_out);
   return 0;
 }
@@ -866,7 +845,7 @@ int metrics_main(int argc, char** argv) {
 struct ServeOptions {
   Dataset dataset;
   serve::ServerConfig server;
-  BuildFlags build;
+  int segment_days = 0;
   int tick_millis = 100;
 };
 
@@ -886,7 +865,6 @@ constexpr std::string_view kServeUsage =
     "                    0 disables caching)\n"
     "  --max-rows N      per-query row budget -> 422 (default unlimited)\n"
     "  --max-millis N    per-query time budget -> 422 (default unlimited)\n"
-    "  --threads N       snapshot build threads (default 1)\n"
     "  --segment-days N  days per snapshot segment (default 0 = one)\n"
     "subscriptions:\n"
     "  --tick-millis N   delay between replayed study days on the live\n"
@@ -905,7 +883,7 @@ ServeOptions parse_serve_options(int argc, char** argv) {
   Args args(argc, argv, 2, kServeUsage);
   while (args.next()) {
     if (dataset_flag(args, options.dataset) ||
-        build_flag(args, options.build))
+        segment_days_flag(args, options.segment_days))
       continue;
     if (args.is("--address")) {
       options.server.bind_address = args.value();
@@ -934,7 +912,7 @@ int serve_main(int argc, char** argv) {
   const ServeOptions options = parse_serve_options(argc, argv);
   const LoadedDataset data(options.dataset);
   query::QueryEngine engine;
-  engine.publish(data.snapshot(options.build, /*version=*/1));
+  engine.publish(data.snapshot(options.segment_days, /*version=*/1));
 
   subscribe::Dispatcher dispatcher(data.dispatcher_config());
   const serve::Server server(options.server, engine, &dispatcher);
@@ -1065,7 +1043,7 @@ struct ArchiveOptions {
   std::string file;
   // save:
   Dataset dataset;
-  BuildFlags build{.segment_days = 7};
+  int segment_days = 7;
   // load:
   int hot_days = 0;
   std::size_t cache_bytes = 64u << 20;
@@ -1075,7 +1053,7 @@ struct ArchiveOptions {
 
 constexpr std::string_view kArchiveUsage =
     "dosmeter archive — compressed on-disk segment archives (src/storage)\n"
-    "  dosmeter archive save --file F [dataset] [--threads N]\n"
+    "  dosmeter archive save --file F [dataset]\n"
     "                        [--segment-days N (default 7)]\n"
     "    seals the dataset's snapshot segments into archive F and prints\n"
     "    the compression ratio vs the raw in-memory columns.\n"
@@ -1103,7 +1081,8 @@ ArchiveOptions parse_archive_options(int argc, char** argv) {
   }
   while (args.next()) {
     if (dataset_flag(args, options.dataset) ||
-        query_flag(args, options.params) || build_flag(args, options.build))
+        query_flag(args, options.params) ||
+        segment_days_flag(args, options.segment_days))
       continue;
     if (args.is("--file"))
       options.file = args.value();
@@ -1128,7 +1107,7 @@ int archive_main(int argc, char** argv) {
 
   if (options.mode == "save") {
     const LoadedDataset data(options.dataset);
-    const auto snapshot = data.snapshot(options.build);
+    const auto snapshot = data.snapshot(options.segment_days);
     const std::uint64_t archive_bytes =
         storage::write_archive(options.file, *snapshot);
     const std::uint64_t raw_bytes = snapshot->size() * 42;  // SoA bytes/row
