@@ -8,6 +8,7 @@
 #pragma once
 
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
@@ -59,6 +60,27 @@ inline void print_header(const std::string& experiment,
   std::cout << experiment << "\n";
   std::cout << "Paper: " << paper_claim << "\n";
   std::cout << "=====================================================\n";
+}
+
+/// A perf bench figure and the `perfbench` per-layer metric it predicts
+/// (perfbench/README.md), or "none: <why>" when no end-to-end path makes
+/// the timed call.
+struct Counterpart {
+  const char* figure;
+  const char* metric;
+};
+
+/// Prints each figure's perfbench counterpart and adds them to the open
+/// JSON object as "perfbench": {figure: metric}.
+inline void report_perfbench(JsonWriter& json,
+                             std::initializer_list<Counterpart> counterparts) {
+  std::cout << "perfbench counterparts:\n";
+  json.key("perfbench").begin_object();
+  for (const auto& [figure, metric] : counterparts) {
+    std::cout << "  " << figure << " -> " << metric << "\n";
+    json.key(figure).value(metric);
+  }
+  json.end_object();
 }
 
 /// Writes a BENCH_<name>.json baseline (compact, trailing newline) and

@@ -216,8 +216,14 @@ int run(int argc, char** argv) {
       .key("speedup_gate")
       .value(gate_applies ? (speedup >= 3.0 ? "passed" : "failed")
                           : (smoke ? "skipped (smoke)"
-                                   : "skipped (insufficient cores)"))
-      .end_object();
+                                   : "skipped (insufficient cores)"));
+  bench::report_perfbench(
+      json, {{"batched_pps", "ingest.records_per_s (an upper bound: capture "
+                             "runs read_packets, which also copies every "
+                             "record into one vector)"},
+             {"sequential_pps", "none: the sequential reader runs in no "
+                                "end-to-end path"}});
+  json.end_object();
   bench::write_json(out_path, json);
 
   if (gate_applies && speedup < 3.0) {

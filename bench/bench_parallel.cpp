@@ -129,12 +129,9 @@ int run(int argc, char** argv) {
             << total_requests << " honeypot requests\n";
 
   // --- Sequential references -------------------------------------------
-  std::vector<telescope::TelescopeEvent> seq_telescope;
-  telescope::BackscatterDetector sequential(
-      [&](const telescope::TelescopeEvent& e) { seq_telescope.push_back(e); });
+  telescope::BackscatterDetector sequential;
   for (const auto& rec : workload.packets) sequential.on_packet(rec);
-  sequential.finish();
-  parallel::canonical_sort(seq_telescope);
+  const auto seq_telescope = sequential.finish();
 
   std::vector<amppot::AmpPotEvent> stage1;
   for (const auto& log : logs) {
@@ -206,10 +203,7 @@ int run(int argc, char** argv) {
         .end_object();
   }
   json.end_array();
-  std::cout << table
-            << "perfbench capture: telescope_ms at 1/2 threads -> "
-               "telescope.detect_1t_ms / telescope.detect_ms, honeypot_ms "
-               "at 2 threads -> amppot.consolidate_ms\n";
+  std::cout << table;
 
   const double speedup_8t = combined_8t > 0.0 ? combined_1t / combined_8t : 0.0;
   const bool gate_applies = !smoke && hardware >= 8;
@@ -219,13 +213,11 @@ int run(int argc, char** argv) {
             << "8-thread speedup: " << fixed(speedup_8t, 2) << "x on "
             << hardware << " hardware threads\n";
 
-  json.key("perfbench")
-      .begin_object()
-      .key("telescope_ms_1t").value("telescope.detect_1t_ms")
-      .key("telescope_ms_2t").value("telescope.detect_ms")
-      .key("honeypot_ms_2t").value("amppot.consolidate_ms")
-      .end_object()
-      .key("deterministic").value(true)
+  bench::report_perfbench(
+      json, {{"telescope_ms_1t", "telescope.detect_1t_ms"},
+             {"telescope_ms_2t", "telescope.detect_ms"},
+             {"honeypot_ms_2t", "amppot.consolidate_ms"}});
+  json.key("deterministic").value(true)
       .key("speedup_8t").value(speedup_8t)
       .key("speedup_gate")
       .value(gate_applies ? (speedup_8t >= 3.0 ? "passed" : "failed")

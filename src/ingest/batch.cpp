@@ -76,6 +76,9 @@ bool BatchedPcapReader::refill() {
 }
 
 bool BatchedPcapReader::next_batch(FrameBatch& out, std::size_t max_frames) {
+  // A zero-frame batch never reaches the end of the capture.
+  if (max_frames == 0)
+    throw std::invalid_argument("next_batch: max_frames must be >= 1");
   out.clear();
   if (!pending_error_.empty()) {
     const std::string error = pending_error_;

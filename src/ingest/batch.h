@@ -65,7 +65,8 @@ class BatchedPcapReader {
   std::uint32_t link_type() const { return link_type_; }
 
   /// Fills `out` (cleared first) with up to `max_frames` frames. Returns
-  /// false at clean EOF with no frames remaining. Throws std::runtime_error
+  /// false at clean EOF with no frames remaining. Throws
+  /// std::invalid_argument when `max_frames` is 0, and std::runtime_error
   /// on malformed records or stream errors — after first surfacing, via a
   /// non-empty batch, any frames that preceded the error.
   bool next_batch(FrameBatch& out, std::size_t max_frames);

@@ -7,7 +7,6 @@ namespace dosm::ingest {
 DecodeStats decode_batch(const FrameBatch& batch, std::uint32_t link_type,
                          std::vector<net::PacketRecord>& out) {
   DecodeStats stats;
-  out.reserve(out.size() + batch.frames.size());
   for (const FrameView& frame : batch.frames) {
     // Decode straight into the output slot; skipped frames give the slot
     // back. Saves one full PacketRecord copy per packet on the hot path.

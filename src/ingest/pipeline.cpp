@@ -1,7 +1,6 @@
 #include "ingest/pipeline.h"
 
 #include <exception>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -13,9 +12,6 @@ namespace dosm::ingest {
 
 IngestStats run_ingest(std::istream& pcap_stream, const IngestOptions& options,
                        const RecordBatchSink& sink) {
-  // A zero-frame batch never reaches the end of the capture.
-  if (options.batch_frames == 0)
-    throw std::invalid_argument("run_ingest: batch_frames must be >= 1");
   BatchedPcapReader reader(pcap_stream, options.read_chunk_bytes);
   const std::uint32_t link_type = reader.link_type();
   SpscRing<FrameBatch> ring(options.ring_capacity);

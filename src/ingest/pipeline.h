@@ -52,9 +52,10 @@ using RecordBatchSink = std::function<void(std::span<const net::PacketRecord>)>;
 
 /// Replays `pcap_stream` through the capture-thread -> ring -> decode
 /// pipeline, invoking `sink` once per decoded batch in capture order.
-/// Throws std::invalid_argument when options.batch_frames is 0, and
-/// std::runtime_error on malformed input or stream errors (after sinking
-/// every packet that preceded the error).
+/// Throws std::invalid_argument when options.batch_frames is 0 (raised by
+/// BatchedPcapReader::next_batch on the capture thread and rethrown here,
+/// before any batch is sunk), and std::runtime_error on malformed input or
+/// stream errors (after sinking every packet that preceded the error).
 IngestStats run_ingest(std::istream& pcap_stream, const IngestOptions& options,
                        const RecordBatchSink& sink);
 

@@ -1,41 +1,13 @@
 #include "parallel/detect.h"
 
 #include <algorithm>
-#include <tuple>
 #include <utility>
 
-#include "obs/metrics.h"
-#include "obs/timer.h"
-#include "parallel/merge.h"
 #include "parallel/shard.h"
 #include "parallel/work_queue.h"
 #include "telescope/backscatter.h"
 
 namespace dosm::parallel {
-namespace {
-
-obs::Histogram& merge_seconds() {
-  static obs::Histogram& histogram = obs::MetricsRegistry::global().histogram(
-      "parallel.merge_seconds", "Deterministic k-way merge time",
-      obs::latency_buckets());
-  return histogram;
-}
-
-}  // namespace
-
-bool amppot_event_less(const amppot::AmpPotEvent& a,
-                       const amppot::AmpPotEvent& b) {
-  return std::tie(a.start, a.victim, a.protocol) <
-         std::tie(b.start, b.victim, b.protocol);
-}
-
-void canonical_sort(std::vector<telescope::TelescopeEvent>& events) {
-  std::sort(events.begin(), events.end(), telescope::event_less);
-}
-
-void canonical_sort(std::vector<amppot::AmpPotEvent>& events) {
-  std::sort(events.begin(), events.end(), amppot_event_less);
-}
 
 ParallelBackscatterDetector::ParallelBackscatterDetector(
     ParallelConfig parallel, telescope::ClassifierThresholds thresholds,
@@ -46,15 +18,13 @@ ParallelBackscatterDetector::ParallelBackscatterDetector(
 
 std::vector<telescope::TelescopeEvent> ParallelBackscatterDetector::detect(
     std::span<const net::PacketRecord> packets) {
-  const std::size_t num_shards = parallel_.effective_shards();
+  const int shards = parallel_.shards > 0 ? parallel_.shards : parallel_.threads;
+  const auto num_shards = static_cast<std::size_t>(std::max(shards, 1));
   std::vector<std::vector<telescope::TelescopeEvent>> per_shard(num_shards);
   std::vector<TelescopeDetectStats> shard_stats(num_shards);
 
   run_tasks(num_shards, parallel_.threads, [&](std::size_t shard) {
-    auto& events = per_shard[shard];
-    telescope::BackscatterDetector detector(
-        [&](const telescope::TelescopeEvent& e) { events.push_back(e); },
-        thresholds_, flow_timeout_s_);
+    telescope::BackscatterDetector detector(thresholds_, flow_timeout_s_);
     std::uint64_t non_backscatter = 0;
     for (const auto& rec : packets) {
       if (!telescope::is_backscatter(rec)) {
@@ -68,8 +38,7 @@ std::vector<telescope::TelescopeEvent> ParallelBackscatterDetector::detect(
     // Shard 0 counts the packets no shard owns, so the shards' counters sum
     // to the sequential detector's.
     if (shard == 0) detector.skip_non_backscatter(non_backscatter);
-    detector.finish();
-    std::sort(events.begin(), events.end(), telescope::event_less);
+    per_shard[shard] = detector.finish();
     shard_stats[shard] = {detector.packets_seen(),
                           detector.backscatter_packets(),
                           detector.flows_filtered(), detector.events_emitted()};
@@ -82,8 +51,12 @@ std::vector<telescope::TelescopeEvent> ParallelBackscatterDetector::detect(
     stats_.flows_filtered += s.flows_filtered;
     stats_.events_emitted += s.events_emitted;
   }
-  const obs::ScopedTimer merge_timer(merge_seconds());
-  return kway_merge(std::move(per_shard), telescope::event_less);
+  std::vector<telescope::TelescopeEvent> events;
+  events.reserve(stats_.events_emitted);
+  for (const auto& shard_events : per_shard)
+    events.insert(events.end(), shard_events.begin(), shard_events.end());
+  std::sort(events.begin(), events.end(), telescope::event_less);
+  return events;
 }
 
 std::vector<amppot::AmpPotEvent> parallel_consolidate(

@@ -4,10 +4,10 @@
 //  * Telescope: all flow state is keyed by victim, and a flow ends on its
 //    victim's own gap (FlowTable::add). The victims are split by hash into
 //    shards; each shard task runs a plain BackscatterDetector over the
-//    backscatter of the victims it owns, and the per-shard event runs are
-//    recombined with a k-way merge on the total key (start, victim).
-//    Victims are unique to a shard, so no cross-shard ties exist and the
-//    merge order is a pure function of the event set.
+//    backscatter of the victims it owns. The shards' events are
+//    concatenated and sorted once on the key (start, victim), which is
+//    unique across a capture, so the order does not depend on the shard
+//    count.
 //
 //  * AmpPot: consolidate_log already works per honeypot, so each log is one
 //    task, and one merge_fleet_events call over the concatenated stage-1
@@ -30,34 +30,18 @@
 namespace dosm::parallel {
 
 /// Execution knobs shared by the parallel detectors. The output is
-/// byte-identical for every (threads, shards) combination; the knobs only
-/// trade memory and load balance against speed.
+/// byte-identical for every (threads, shards) combination.
 struct ParallelConfig {
   /// Worker threads; <= 1 runs every shard inline on the caller.
   int threads = 1;
-  /// Victim-hash shards of the telescope detector (work-queue tasks); 0
-  /// means one per thread. More shards than threads improves load balance
-  /// on skewed victim distributions at the cost of extra stream scans.
-  /// AmpPot consolidation always runs one task per honeypot log.
+  /// Victim-hash shards of the telescope detector (work-queue tasks); 0,
+  /// the value every production caller uses, means one per thread. Each
+  /// shard scans the whole capture. The field exists so the tests can pin
+  /// shard-count independence (13 shards over 3 threads) and so callers
+  /// can brace-initialise {threads, 0}. AmpPot consolidation always runs
+  /// one task per honeypot log.
   int shards = 0;
-
-  /// Shard count actually used: max(shards, 1), defaulted to threads.
-  std::size_t effective_shards() const {
-    const int s = shards > 0 ? shards : threads;
-    return static_cast<std::size_t>(s > 1 ? s : 1);
-  }
 };
-
-/// Canonical total order on AmpPot events: (start, victim, protocol) — the
-/// order consolidate_log and merge_fleet_events already emit.
-bool amppot_event_less(const amppot::AmpPotEvent& a,
-                       const amppot::AmpPotEvent& b);
-
-/// Sorts sequential detector output into the canonical order the parallel
-/// path emits, for byte-for-byte comparison (telescope::event_less for
-/// telescope events).
-void canonical_sort(std::vector<telescope::TelescopeEvent>& events);
-void canonical_sort(std::vector<amppot::AmpPotEvent>& events);
 
 /// Aggregated counters matching BackscatterDetector's accessors.
 struct TelescopeDetectStats {

@@ -43,20 +43,25 @@ QueryEngine::QueryEngine(std::shared_ptr<const Snapshot> initial)
 }
 
 std::shared_ptr<const Snapshot> QueryEngine::snapshot() const {
-  return current_.load(std::memory_order_acquire);
+  const std::lock_guard lock(mutex_);
+  return current_;
 }
 
 void QueryEngine::publish(std::shared_ptr<const Snapshot> next) {
   if (!next) throw std::invalid_argument("QueryEngine::publish: null snapshot");
-  const auto current = snapshot();
-  if (current && next->version() <= current->version())
-    throw std::invalid_argument(
-        "QueryEngine::publish: snapshot version must increase");
   EngineMetrics& metrics = EngineMetrics::get();
-  metrics.snapshot_events.set(static_cast<std::int64_t>(next->size()));
+  const auto size = static_cast<std::int64_t>(next->size());
+  std::shared_ptr<const Snapshot> previous;  // released after the unlock
+  {
+    const std::lock_guard lock(mutex_);
+    if (current_ && next->version() <= current_->version())
+      throw std::invalid_argument(
+          "QueryEngine::publish: snapshot version must increase");
+    previous = std::exchange(current_, std::move(next));
+    publishes_.fetch_add(1, std::memory_order_relaxed);
+  }
+  metrics.snapshot_events.set(size);
   metrics.snapshot_swaps.inc();
-  current_.store(std::move(next), std::memory_order_release);
-  publishes_.fetch_add(1, std::memory_order_relaxed);
 }
 
 SnapshotPublisher::SnapshotPublisher(QueryEngine& engine, StudyWindow window,

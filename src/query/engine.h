@@ -1,9 +1,10 @@
 // The concurrent serving layer: snapshot-swap publication.
 //
-// Readers call QueryEngine::snapshot() — a lock-free atomic load of a
-// shared_ptr<const Snapshot> — and run any number of queries against the
-// immutable snapshot they obtained; they never block and can never observe
-// torn state, because published snapshots are never mutated. The streaming
+// Readers call QueryEngine::snapshot() — a copy of a
+// shared_ptr<const Snapshot>, under a mutex held only for that copy — and
+// run any number of queries against the immutable snapshot they obtained;
+// they never wait on a query or a seal and can never observe torn state,
+// because published snapshots are never mutated. The streaming
 // path (SnapshotPublisher) seals only the just-completed day into a new
 // FrameSegment at every day boundary and publishes a snapshot whose segment
 // list reuses every previously sealed segment by pointer — an O(new-day)
@@ -16,6 +17,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/streaming.h"
@@ -34,8 +36,8 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// The current snapshot; lock-free, safe from any thread. May be null
-  /// before the first publish.
+  /// The current snapshot; safe from any thread. May be null before the
+  /// first publish.
   std::shared_ptr<const Snapshot> snapshot() const;
 
   /// Atomically replaces the served snapshot. Throws std::invalid_argument
@@ -46,7 +48,11 @@ class QueryEngine {
   std::uint64_t publishes() const { return publishes_.load(std::memory_order_relaxed); }
 
  private:
-  std::atomic<std::shared_ptr<const Snapshot>> current_;
+  // A mutex rather than std::atomic<std::shared_ptr>: with libstdc++ 12,
+  // ThreadSanitizer reports a race inside the atomic's swap on every
+  // publish, and the critical sections here are one pointer copy each.
+  mutable std::mutex mutex_;
+  std::shared_ptr<const Snapshot> current_;
   std::atomic<std::uint64_t> publishes_{0};
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <tuple>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -181,16 +182,14 @@ TelescopeEvent FlowTable::finalize(net::Ipv4Addr victim, const Flow& flow) const
   return event;
 }
 
-BackscatterDetector::BackscatterDetector(EventCallback on_event,
-                                         ClassifierThresholds thresholds,
+BackscatterDetector::BackscatterDetector(ClassifierThresholds thresholds,
                                          double flow_timeout_s)
-    : on_event_(std::move(on_event)),
-      thresholds_(thresholds),
+    : thresholds_(thresholds),
       flows_(
           [this](const TelescopeEvent& event) {
             if (passes_thresholds(event, thresholds_)) {
               ++events_emitted_;
-              on_event_(event);
+              events_.push_back(event);
             } else {
               ++flows_filtered_;
             }
@@ -208,11 +207,13 @@ void BackscatterDetector::on_packet(const net::PacketRecord& rec) {
   flows_.add(rec.timestamp(), classify_backscatter(rec), rec.ip_len, rec.dst);
 }
 
-void BackscatterDetector::finish() {
+std::vector<TelescopeEvent> BackscatterDetector::finish() {
   flows_.flush();
   Metrics& metrics = Metrics::get();
   metrics.packets_seen.add(packets_seen_);
   metrics.backscatter_packets.add(backscatter_packets_);
+  std::sort(events_.begin(), events_.end(), event_less);
+  return std::exchange(events_, {});
 }
 
 }  // namespace dosm::telescope

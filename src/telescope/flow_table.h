@@ -114,13 +114,10 @@ class FlowTable {
 
 /// Full detector: backscatter filter -> flow table -> thresholds. This is
 /// the "Corsaro RSDoS plugin" equivalent; feed it decoded packets (from a
-/// pcap replay or the synthesizer) and collect attack events.
+/// pcap replay or the synthesizer), then finish() returns the attack events.
 class BackscatterDetector {
  public:
-  using EventCallback = std::function<void(const TelescopeEvent&)>;
-
-  explicit BackscatterDetector(EventCallback on_event,
-                               ClassifierThresholds thresholds = {},
+  explicit BackscatterDetector(ClassifierThresholds thresholds = {},
                                double flow_timeout_s = 300.0);
 
   /// Processes one captured packet (non-backscatter packets are ignored but
@@ -131,8 +128,10 @@ class BackscatterDetector {
   /// instead of passing them to on_packet.
   void skip_non_backscatter(std::uint64_t packets) { packets_seen_ += packets; }
 
-  /// Ends the trace, flushing all open flows through classification.
-  void finish();
+  /// Ends the trace, flushing all open flows through classification, and
+  /// returns every event that passed the thresholds in event_less order
+  /// (flows close in packet and hash-flush order, so the detector sorts).
+  std::vector<TelescopeEvent> finish();
 
   std::uint64_t packets_seen() const { return packets_seen_; }
   std::uint64_t backscatter_packets() const { return backscatter_packets_; }
@@ -140,7 +139,7 @@ class BackscatterDetector {
   std::uint64_t events_emitted() const { return events_emitted_; }
 
  private:
-  EventCallback on_event_;
+  std::vector<TelescopeEvent> events_;
   ClassifierThresholds thresholds_;
   FlowTable flows_;
   std::uint64_t packets_seen_ = 0;

@@ -1,7 +1,5 @@
 #include "telescope/pipeline.h"
 
-#include <algorithm>
-
 namespace dosm::telescope {
 
 void Pipeline::process(const net::PacketRecord& rec) {
@@ -35,20 +33,13 @@ void Pipeline::finish() {
 }
 
 RsdosPlugin::RsdosPlugin(ClassifierThresholds thresholds, double flow_timeout_s)
-    : detector_([this](const TelescopeEvent& e) { events_.push_back(e); },
-                thresholds, flow_timeout_s) {}
+    : detector_(thresholds, flow_timeout_s) {}
 
 void RsdosPlugin::on_packet(const net::PacketRecord& rec) {
   detector_.on_packet(rec);
 }
 
-void RsdosPlugin::on_end() {
-  detector_.finish();
-  // The detector flushes its flow table in hash order; the sharded detector
-  // (parallel/detect.cpp) canonically sorts after flushing, so the
-  // sequential plugin must present the same order.
-  std::sort(events_.begin(), events_.end(), event_less);
-}
+void RsdosPlugin::on_end() { events_ = detector_.finish(); }
 
 void TrafficStatsPlugin::on_packet(const net::PacketRecord& rec) {
   ++total_;

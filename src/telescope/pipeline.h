@@ -68,7 +68,9 @@ class Pipeline {
   std::vector<std::unique_ptr<PacketPlugin>> plugins_;
 };
 
-/// The RS-DoS detection plugin: collects randomly-spoofed attack events.
+/// The RS-DoS detection plugin: a facade over BackscatterDetector. After
+/// on_end(), events() holds the randomly-spoofed attack events in
+/// event_less order.
 class RsdosPlugin : public PacketPlugin {
  public:
   explicit RsdosPlugin(ClassifierThresholds thresholds = {},

@@ -106,14 +106,14 @@ check(query-filtered.txt ${cold} ${filter} --k 25)
 
 check(watch.txt watch ${world} --max 20)
 
-# Detection output is the same for any thread and shard count.
+# Detection output is the same for any thread count.
 set(detect detect --direct 120 --reflection 30 --hours 2)
 check(detect.txt ${detect} --threads 1 --save-events t1.bin)
 same(t1.bin detect-events.bin)
 check(detect.txt ${detect} --threads 8 --save-events t8.bin)
 same(t8.bin detect-events.bin)
-check(detect.txt ${detect} --threads 3 --shards 13 --save-events t3s13.bin)
-same(t3s13.bin detect-events.bin)
+check(detect.txt ${detect} --threads 3 --save-events t3.bin)
+same(t3.bin detect-events.bin)
 
 check(report.txt --seed 7 --days 30 --domains 3000 --out report)
 same(report/daily.csv daily.csv)
@@ -127,6 +127,7 @@ reject(--direct --seed 7 --days 10 --direct -3 --quiet)
 reject(--seed --seed -1 --days 10 --quiet)
 reject(--agg query --seed 7 --days 10 --agg bogus)
 reject(--proto watch --seed 7 --days 10 --proto 300)
+reject(--shards detect --threads 3 --shards 13)
 reject(--direct --seed 7 --days 2 --direct inf --quiet)
 reject(--reflection --seed 7 --days 2 --reflection nan --quiet)
 reject(--k query --seed 7 --days 10 --k 0)

@@ -198,9 +198,7 @@ TEST(FlowTable, CountsUniqueTelescopeSources) {
 }
 
 TEST(Detector, FullPathFiltersSubThresholdFlows) {
-  std::vector<TelescopeEvent> events;
-  BackscatterDetector detector(
-      [&](const TelescopeEvent& e) { events.push_back(e); });
+  BackscatterDetector detector;
   net::PacketRecord rec;
   rec.src = Ipv4Addr(1, 1, 1, 1);
   rec.proto = static_cast<std::uint8_t>(IpProto::kTcp);
@@ -212,16 +210,13 @@ TEST(Detector, FullPathFiltersSubThresholdFlows) {
     rec.ts_sec = 1000 + i * 10;
     detector.on_packet(rec);
   }
-  detector.finish();
-  EXPECT_EQ(events.size(), 0u);
+  EXPECT_EQ(detector.finish().size(), 0u);
   EXPECT_EQ(detector.flows_filtered(), 1u);
   EXPECT_EQ(detector.backscatter_packets(), 10u);
 }
 
 TEST(Detector, IgnoresNonBackscatter) {
-  std::vector<TelescopeEvent> events;
-  BackscatterDetector detector(
-      [&](const TelescopeEvent& e) { events.push_back(e); });
+  BackscatterDetector detector;
   net::PacketRecord scan;
   scan.src = Ipv4Addr(6, 6, 6, 6);
   scan.proto = static_cast<std::uint8_t>(IpProto::kTcp);
@@ -230,10 +225,9 @@ TEST(Detector, IgnoresNonBackscatter) {
     scan.ts_sec = 1000 + i;
     detector.on_packet(scan);
   }
-  detector.finish();
+  EXPECT_EQ(detector.finish().size(), 0u);
   EXPECT_EQ(detector.packets_seen(), 100u);
   EXPECT_EQ(detector.backscatter_packets(), 0u);
-  EXPECT_EQ(events.size(), 0u);
 }
 
 // Parameterized sweep: tightening any threshold never increases the number
@@ -371,10 +365,9 @@ std::vector<EventKey> victim_events(std::vector<net::PacketRecord> packets,
   const ClassifierThresholds keep_all{0, 0.0, 0.0};
   std::vector<TelescopeEvent> closed;
   if (shards == 0) {
-    BackscatterDetector detector(
-        [&](const TelescopeEvent& e) { closed.push_back(e); }, keep_all);
+    BackscatterDetector detector(keep_all);
     for (const auto& rec : packets) detector.on_packet(rec);
-    detector.finish();
+    closed = detector.finish();
   } else {
     closed = parallel::ParallelBackscatterDetector({1, shards}, keep_all)
                  .detect(packets);

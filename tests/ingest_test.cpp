@@ -1,7 +1,8 @@
 // Batched ingest tests: SPSC ring units, batched-vs-sequential identity
 // (packets and TelescopeEvents, parameterized over batch size x ring
 // capacity), the ingest-edge bugfix regressions (mid-stream I/O errors,
-// snaplen truncation, VLAN tags, zero-frame batches), and skip accounting.
+// snaplen truncation, VLAN tags, zero-frame batches), decode_batch's
+// append growth, and skip accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -295,6 +296,42 @@ TEST(BatchedPcapReader, ThrowsOnImplausibleRecordLength) {
   BatchedPcapReader reader(in, 4096);
   FrameBatch batch;
   EXPECT_THROW(reader.next_batch(batch, 16), std::runtime_error);
+}
+
+TEST(BatchedPcapReader, ZeroMaxFramesThrows) {
+  // A zero-frame batch never reaches the end of the capture: next_batch
+  // would return true with an empty batch forever.
+  const std::string pcap = to_pcap(make_capture(31, 10));
+  std::istringstream in(pcap, std::ios::binary);
+  BatchedPcapReader reader(in, 4096);
+  FrameBatch batch;
+  EXPECT_THROW(reader.next_batch(batch, 0), std::invalid_argument);
+  // The rejected call consumed nothing.
+  ASSERT_TRUE(reader.next_batch(batch, 1024));
+  EXPECT_EQ(batch.size(), 10u);
+  EXPECT_FALSE(reader.next_batch(batch, 1024));
+}
+
+TEST(DecodeBatch, AppendingBatchesGrowsGeometrically) {
+  // decode_batch documents appending; a caller that appends many batches
+  // into one vector must not pay a reallocation (and a copy of the whole
+  // vector) per batch.
+  constexpr std::size_t kBatches = 64;
+  const std::string pcap = to_pcap(make_capture(37, static_cast<int>(kBatches)));
+  std::istringstream in(pcap, std::ios::binary);
+  BatchedPcapReader reader(in, 4096);
+  FrameBatch batch;
+  std::vector<PacketRecord> out;
+  std::size_t reallocations = 0;
+  const PacketRecord* data = out.data();
+  while (reader.next_batch(batch, 1)) {
+    ingest::decode_batch(batch, reader.link_type(), out);
+    if (out.data() != data) ++reallocations;
+    data = out.data();
+  }
+  ASSERT_EQ(out.size(), kBatches);
+  expect_same_packets(out, sequential_packets(pcap), "one-frame batches");
+  EXPECT_LE(reallocations, 8u);  // log2(64) + 1 with doubling growth
 }
 
 // ---------------------------------------------------------------------------

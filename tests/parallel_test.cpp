@@ -1,4 +1,4 @@
-// Parallel execution layer: shard/merge/work-queue unit tests, plus the
+// Parallel execution layer: shard and work-queue unit tests, plus the
 // byte-identity property the whole subsystem is built around — the sharded
 // detectors' output equals the sequential detectors' output, field for
 // field, for every thread and shard count.
@@ -15,7 +15,6 @@
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "parallel/detect.h"
-#include "parallel/merge.h"
 #include "parallel/shard.h"
 #include "parallel/work_queue.h"
 #include "parallel/workload.h"
@@ -56,51 +55,6 @@ TEST(Shard, Mix32SpreadsSequentialAddresses) {
     EXPECT_GT(count, 4096u / kShards / 2);  // no starved shard
     EXPECT_LT(count, 4096u / kShards * 2);  // no hot shard
   }
-}
-
-// --- merge.h ------------------------------------------------------------
-
-TEST(KwayMerge, EqualsSortedConcatenation) {
-  Rng rng(11);
-  std::vector<std::vector<int>> runs(5);
-  std::vector<int> expected;
-  for (auto& run : runs) {
-    const std::size_t len = rng.next_below(40);
-    for (std::size_t i = 0; i < len; ++i)
-      run.push_back(static_cast<int>(rng.next_below(100)));
-    std::sort(run.begin(), run.end());
-    expected.insert(expected.end(), run.begin(), run.end());
-  }
-  std::sort(expected.begin(), expected.end());
-  const auto merged =
-      kway_merge(std::move(runs), [](int a, int b) { return a < b; });
-  EXPECT_EQ(merged, expected);
-}
-
-TEST(KwayMerge, TiesGoToLowerRunIndex) {
-  // Strict-less comparison: on equal keys the element from the
-  // lower-indexed run is emitted first, making the merge deterministic.
-  using Tagged = std::pair<int, char>;
-  std::vector<std::vector<Tagged>> runs = {
-      {{1, 'a'}, {3, 'a'}},
-      {{1, 'b'}, {2, 'b'}, {3, 'b'}},
-  };
-  const auto merged = kway_merge(
-      std::move(runs),
-      [](const Tagged& a, const Tagged& b) { return a.first < b.first; });
-  const std::vector<Tagged> expected = {
-      {1, 'a'}, {1, 'b'}, {2, 'b'}, {3, 'a'}, {3, 'b'}};
-  EXPECT_EQ(merged, expected);
-}
-
-TEST(KwayMerge, HandlesEmptyAndSingletonRuns) {
-  std::vector<std::vector<int>> runs = {{}, {5}, {}, {1, 9}, {}};
-  const auto merged =
-      kway_merge(std::move(runs), [](int a, int b) { return a < b; });
-  EXPECT_EQ(merged, (std::vector<int>{1, 5, 9}));
-  EXPECT_TRUE(kway_merge(std::vector<std::vector<int>>{},
-                         [](int a, int b) { return a < b; })
-                  .empty());
 }
 
 // --- work_queue.h -------------------------------------------------------
@@ -195,12 +149,9 @@ void expect_identical(const std::vector<amppot::AmpPotEvent>& actual,
 TEST(ParallelDetect, TelescopeMatchesSequentialForAnyThreadCount) {
   const auto& workload = shared_workload();
 
-  std::vector<telescope::TelescopeEvent> expected;
-  telescope::BackscatterDetector sequential(
-      [&](const telescope::TelescopeEvent& e) { expected.push_back(e); });
+  telescope::BackscatterDetector sequential;
   for (const auto& rec : workload.packets) sequential.on_packet(rec);
-  sequential.finish();
-  canonical_sort(expected);
+  const auto expected = sequential.finish();
   ASSERT_FALSE(expected.empty()) << "workload produced no telescope events";
 
   const std::pair<int, int> configs[] = {{1, 0}, {2, 0}, {8, 0},
@@ -229,8 +180,7 @@ TEST(ParallelDetect, ConsolidateMatchesSequentialForAnyThreadCount) {
         amppot::consolidate_log(log.requests, {}, log.honeypot_id);
     stage1.insert(stage1.end(), events.begin(), events.end());
   }
-  auto expected = amppot::merge_fleet_events(std::move(stage1));
-  canonical_sort(expected);
+  const auto expected = amppot::merge_fleet_events(std::move(stage1));
   ASSERT_FALSE(expected.empty()) << "workload produced no honeypot events";
 
   const std::pair<int, int> configs[] = {{1, 0}, {2, 0}, {8, 0}, {3, 13}};
@@ -249,8 +199,7 @@ TEST(ParallelDetect, HarvestMatchesFleetHarvest) {
   auto sequential_side = make_workload(test_config());
   auto parallel_side = make_workload(test_config());
 
-  auto expected = sequential_side.fleet->harvest();
-  canonical_sort(expected);
+  const auto expected = sequential_side.fleet->harvest();
 
   const auto events =
       parallel_harvest(*parallel_side.fleet, {}, ParallelConfig{4, 0});

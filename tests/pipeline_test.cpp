@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 #include <tuple>
 
 #include "telescope/pipeline.h"
@@ -116,36 +117,62 @@ TEST(Pipeline, CustomThresholdsAreHonored) {
   EXPECT_EQ(rsdos.detector().flows_filtered(), 1u);
 }
 
-// Regression: the sequential RsdosPlugin collected end-of-trace events in
-// the flow table's hash-flush order, while the sharded detector
-// (parallel/detect.cpp) canonically sorts — so the two paths disagreed on
-// byte order. on_end() must present (start, victim)-sorted events.
+// Regression: the sequential RsdosPlugin once collected end-of-trace events
+// in the flow table's hash-flush order, while the sharded detector sorted,
+// so the two paths disagreed on byte order. BackscatterDetector::finish()
+// now owns the order: it returns (start, victim)-sorted events, and the
+// plugin presents exactly that, for inputs whose raw flush order is not
+// sorted.
 TEST(Pipeline, RsdosEventsAreCanonicallySortedAfterFinish) {
-  Pipeline pipeline;
   ClassifierThresholds lax;
   lax.min_packets = 1;
   lax.min_duration_s = 0.0;
   lax.min_max_pps = 0.0;
-  auto& rsdos = pipeline.emplace_plugin<RsdosPlugin>(lax);
-  std::vector<PacketRecord> packets;
-  // 16 victims, ascending insertion order; every flow gets the same start
-  // timestamp so the canonical order is by victim address. A hash-order
-  // flush emits most-recently-inserted victims first.
-  for (int i = 1; i <= 16; ++i)
-    packets.push_back(
-        backscatter_at(100.0, Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(i))));
-  for (int i = 1; i <= 16; ++i)
-    packets.push_back(
-        backscatter_at(200.0, Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(i))));
-  pipeline.replay(packets);
-  pipeline.finish();
-  const auto& events = rsdos.events();
-  ASSERT_EQ(events.size(), 16u);
-  EXPECT_TRUE(std::is_sorted(events.begin(), events.end(),
-                             [](const TelescopeEvent& a, const TelescopeEvent& b) {
-                               return std::tie(a.start, a.victim) <
-                                      std::tie(b.start, b.victim);
-                             }));
+  const auto victim = [](int i) {
+    return Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(i));
+  };
+  // 16 victims, ascending insertion order. First, every flow gets the same
+  // start timestamp, so the canonical order is by victim address. Second,
+  // one packet per victim with starts descending by address, so the
+  // canonical order reverses the address order. Both stay open until the
+  // end-of-trace flush.
+  std::vector<std::vector<PacketRecord>> inputs(2);
+  for (int i = 1; i <= 16; ++i) inputs[0].push_back(backscatter_at(100.0, victim(i)));
+  for (int i = 1; i <= 16; ++i) inputs[0].push_back(backscatter_at(200.0, victim(i)));
+  for (int i = 16; i >= 1; --i) inputs[1].push_back(backscatter_at(100.0 + (16 - i), victim(i)));
+
+  const auto canonical = [](const TelescopeEvent& a, const TelescopeEvent& b) {
+    return std::tie(a.start, a.victim) < std::tie(b.start, b.victim);
+  };
+  for (std::size_t input = 0; input < inputs.size(); ++input) {
+    SCOPED_TRACE("input " + std::to_string(input));
+    const auto& packets = inputs[input];
+
+    std::vector<TelescopeEvent> flushed;
+    FlowTable table([&](const TelescopeEvent& e) { flushed.push_back(e); });
+    for (const auto& rec : packets)
+      table.add(rec.timestamp(), classify_backscatter(rec), rec.ip_len, rec.dst);
+    table.flush();
+    ASSERT_EQ(flushed.size(), 16u);
+    ASSERT_FALSE(std::is_sorted(flushed.begin(), flushed.end(), canonical))
+        << "the flush order is already canonical; the input proves nothing";
+
+    BackscatterDetector detector(lax);
+    for (const auto& rec : packets) detector.on_packet(rec);
+    const auto events = detector.finish();
+    ASSERT_EQ(events.size(), 16u);
+    EXPECT_TRUE(std::is_sorted(events.begin(), events.end(), canonical));
+
+    Pipeline pipeline;
+    auto& rsdos = pipeline.emplace_plugin<RsdosPlugin>(lax);
+    pipeline.replay(packets);
+    pipeline.finish();
+    ASSERT_EQ(rsdos.events().size(), 16u);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(rsdos.events()[i].victim, events[i].victim) << "row " << i;
+      EXPECT_EQ(rsdos.events()[i].start, events[i].start) << "row " << i;
+    }
+  }
 }
 
 }  // namespace

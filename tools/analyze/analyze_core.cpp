@@ -17,7 +17,7 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 
 bool is_sort_name(std::string_view s) {
   return s == "sort" || s == "stable_sort" || s == "partial_sort" ||
-         s == "nth_element" || s == "canonical_sort";
+         s == "nth_element";
 }
 
 bool is_emit_method(std::string_view s) {

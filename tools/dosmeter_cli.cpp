@@ -19,10 +19,11 @@
 //     its filter/aggregation flags are the /query parameters (src/serve/api.h);
 //     see kQueryUsage below.
 //
-//   dosmeter detect [--seed N] [--threads N] [--shards N] [--save-events F]
+//   dosmeter detect [--seed N] [--threads N] [--save-events F]
 //     runs the packet-level detection pipeline (telescope backscatter +
-//     honeypot consolidation) over a synthetic capture through the sharded
-//     parallel execution layer; output is byte-identical for any --threads.
+//     honeypot consolidation) over a synthetic capture through the parallel
+//     execution layer, one telescope shard per thread; output is
+//     byte-identical for any --threads.
 //
 //   dosmeter metrics [--seed N] [--format table|json|prom] [--out F]
 //     exercises every instrumented pipeline layer over a small workload and
@@ -449,13 +450,13 @@ constexpr std::string_view kDetectUsage =
     "  --ring-capacity N  ingest ring capacity in batches (default 8)\n"
     "  --save-pcap F   write the synthetic telescope capture to F\n"
     "                  (LINKTYPE_RAW) and exit\n"
-    "  --threads N     worker threads (default 1)\n"
-    "  --shards N      telescope victim shards (default: one per thread)\n"
+    "  --threads N     worker threads and telescope victim shards\n"
+    "                  (default 1)\n"
     "  --save-events F write the fused events as a binary dump\n"
     "  --metrics-out F write pipeline metrics after the run\n"
     "                  (.prom -> Prometheus text, else JSON)\n"
     "  --quiet         suppress the text summary\n"
-    "Output is byte-identical for every --threads/--shards setting, every\n"
+    "Output is byte-identical for every --threads setting, every\n"
     "--batch-frames/--ring-capacity setting, and with or without\n"
     "--metrics-out.\n";
 
@@ -473,8 +474,6 @@ DetectOptions parse_detect_options(int argc, char** argv) {
       options.workload.window_s = args.real(0.0) * 3600.0;
     } else if (args.is("--threads")) {
       options.parallel.threads = args.integer(1, kMaxThreads);
-    } else if (args.is("--shards")) {
-      options.parallel.shards = args.integer(0, 1 << 16);
     } else if (args.is("--pcap")) {
       options.pcap_in = args.value();
     } else if (args.is("--save-pcap")) {
@@ -521,8 +520,7 @@ int detect_main(int argc, char** argv) {
     std::cerr << "[dosmeter] capture: " << capture_packets.size()
               << " telescope packets, " << fleet->total_requests()
               << " honeypot requests (" << options.parallel.threads
-              << " threads, " << options.parallel.effective_shards()
-              << " shards)\n";
+              << " threads)\n";
   }
 
   if (!options.save_pcap.empty()) {
