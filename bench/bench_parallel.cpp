@@ -17,9 +17,12 @@
 //               >=3x speedup gate only applies at the default size)
 //     --out F   baseline path (default BENCH_parallel.json)
 //
-// The speedup gate additionally requires >= 8 hardware threads; on smaller
-// machines the gate is recorded as skipped rather than failed, since a
-// 1-core runner cannot demonstrate parallel speedup.
+// Two timing gates, both skipped under --smoke and recorded as skipped
+// rather than failed on machines too small to show parallel speedup:
+//  * combined telescope + honeypot speedup >= 3x at 8 threads (needs >= 8
+//    hardware threads);
+//  * telescope time at 4 threads <= 0.5x its 1-thread time (needs >= 4
+//    hardware threads): the partition pass and the shards both scale.
 #include <chrono>
 #include <cstdlib>
 #include <functional>
@@ -163,6 +166,8 @@ int run(int argc, char** argv) {
                    "speedup"});
   double combined_1t = 0.0;
   double combined_8t = 0.0;
+  double telescope_1t = 0.0;
+  double telescope_4t = 0.0;
   for (const int threads : thread_counts) {
     const parallel::ParallelConfig pc{threads, 0};
     parallel::ParallelBackscatterDetector detector(pc);
@@ -187,7 +192,11 @@ int run(int argc, char** argv) {
     });
     const double combined = telescope_timing.seconds_per_iter +
                             honeypot_timing.seconds_per_iter;
-    if (threads == 1) combined_1t = combined;
+    if (threads == 1) {
+      combined_1t = combined;
+      telescope_1t = telescope_timing.seconds_per_iter;
+    }
+    if (threads == 4) telescope_4t = telescope_timing.seconds_per_iter;
     if (threads == 8) combined_8t = combined;
     const double speedup = combined_1t > 0.0 ? combined_1t / combined : 0.0;
     table.add_row({std::to_string(threads),
@@ -207,11 +216,20 @@ int run(int argc, char** argv) {
 
   const double speedup_8t = combined_8t > 0.0 ? combined_1t / combined_8t : 0.0;
   const bool gate_applies = !smoke && hardware >= 8;
+  const double telescope_ratio_4t =
+      telescope_1t > 0.0 ? telescope_4t / telescope_1t : 0.0;
+  const bool telescope_gate_applies = !smoke && hardware >= 4;
+  const auto gate_state = [&](bool applies, bool passed) {
+    return applies ? (passed ? "passed" : "failed")
+                   : (smoke ? "skipped (smoke)" : "skipped (insufficient cores)");
+  };
   std::cout << "events: " << seq_telescope.size() << " telescope + "
             << seq_honeypot.size() << " honeypot (identical at every thread "
             << "count)\n"
             << "8-thread speedup: " << fixed(speedup_8t, 2) << "x on "
-            << hardware << " hardware threads\n";
+            << hardware << " hardware threads\n"
+            << "4-thread telescope time: " << fixed(telescope_ratio_4t, 2)
+            << "x the 1-thread time\n";
 
   bench::report_perfbench(
       json, {{"telescope_ms_1t", "telescope.detect_1t_ms"},
@@ -219,19 +237,26 @@ int run(int argc, char** argv) {
              {"honeypot_ms_2t", "amppot.consolidate_ms"}});
   json.key("deterministic").value(true)
       .key("speedup_8t").value(speedup_8t)
-      .key("speedup_gate")
-      .value(gate_applies ? (speedup_8t >= 3.0 ? "passed" : "failed")
-                          : (smoke ? "skipped (smoke)"
-                                   : "skipped (insufficient cores)"))
+      .key("speedup_gate").value(gate_state(gate_applies, speedup_8t >= 3.0))
+      .key("telescope_ratio_4t").value(telescope_ratio_4t)
+      .key("telescope_gate")
+      .value(gate_state(telescope_gate_applies, telescope_ratio_4t <= 0.5))
       .end_object();
   bench::write_json(out_path, json);
 
+  int status = 0;
   if (gate_applies && speedup_8t < 3.0) {
     std::cerr << "bench_parallel: 8-thread speedup " << fixed(speedup_8t, 2)
               << "x is below the 3x baseline\n";
-    return 1;
+    status = 1;
   }
-  return 0;
+  if (telescope_gate_applies && telescope_ratio_4t > 0.5) {
+    std::cerr << "bench_parallel: 4-thread telescope time is "
+              << fixed(telescope_ratio_4t, 2)
+              << "x the 1-thread time, above the 0.5x gate\n";
+    status = 1;
+  }
+  return status;
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 #include "amppot/consolidator.h"
 
 #include <algorithm>
-#include <map>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -53,9 +53,10 @@ std::vector<AmpPotEvent> consolidate_log(std::span<const RequestRecord> log,
                                          const ConsolidatorConfig& config,
                                          std::int32_t honeypot_id) {
   std::vector<AmpPotEvent> events;
-  // Keyed by (victim, protocol); logs are time-ordered so a linear pass with
-  // open sessions suffices.
-  std::map<std::pair<std::uint32_t, std::uint8_t>, Session> open;
+  // Keyed by (victim << 8) | protocol; logs are time-ordered so a linear
+  // pass with open sessions suffices. The events are sorted at the end, so
+  // the map's order never reaches the output.
+  std::unordered_map<std::uint64_t, Session> open;
 
   ConsolidatorMetrics& metrics = ConsolidatorMetrics::get();
   auto close = [&](net::Ipv4Addr victim, ReflectionProtocol protocol,
@@ -77,8 +78,9 @@ std::vector<AmpPotEvent> consolidate_log(std::span<const RequestRecord> log,
   };
 
   for (const auto& req : log) {
-    const auto key = std::make_pair(req.source.value(),
-                                    static_cast<std::uint8_t>(req.protocol));
+    const std::uint64_t key =
+        (std::uint64_t{req.source.value()} << 8) |
+        static_cast<std::uint8_t>(req.protocol);
     auto it = open.find(key);
     if (it != open.end()) {
       Session& s = it->second;
@@ -102,8 +104,8 @@ std::vector<AmpPotEvent> consolidate_log(std::span<const RequestRecord> log,
     }
   }
   for (const auto& [key, s] : open) {
-    close(net::Ipv4Addr(key.first),
-          static_cast<ReflectionProtocol>(key.second), s);
+    close(net::Ipv4Addr(static_cast<std::uint32_t>(key >> 8)),
+          static_cast<ReflectionProtocol>(key & 0xff), s);
   }
   std::sort(events.begin(), events.end(),
             [](const AmpPotEvent& a, const AmpPotEvent& b) {

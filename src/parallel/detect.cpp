@@ -1,8 +1,12 @@
 #include "parallel/detect.h"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "common/strings.h"
 #include "parallel/shard.h"
 #include "parallel/work_queue.h"
 #include "telescope/backscatter.h"
@@ -16,33 +20,133 @@ ParallelBackscatterDetector::ParallelBackscatterDetector(
       thresholds_(thresholds),
       flow_timeout_s_(flow_timeout_s) {}
 
+namespace {
+
+/// One backscatter packet as the partition pass hands it to its shard:
+/// the arguments of BackscatterDetector::on_backscatter, in 24 bytes.
+struct BackscatterRecord {
+  double ts;
+  telescope::BackscatterInfo info;
+  net::Ipv4Addr dst;
+  std::uint16_t ip_len;
+};
+
+constexpr std::size_t kInOrder = std::numeric_limits<std::size_t>::max();
+
+/// Victim shards per thread when ParallelConfig::shards is 0. One victim
+/// can carry a third of an hour's backscatter; with several shards per
+/// thread for the work queue to hand out, the threads still finish close
+/// together. The cap bounds the (chunk, shard) buckets at high thread
+/// counts.
+constexpr int kShardsPerThread = 8;
+constexpr int kMaxDefaultShards = 256;
+
+[[noreturn]] void throw_out_of_order(std::span<const net::PacketRecord> packets,
+                                     std::size_t index) {
+  throw std::invalid_argument(
+      "packet " + std::to_string(index) + " is stamped " +
+      fixed(packets[index].timestamp(), 6) + " s, before packet " +
+      std::to_string(index - 1) + " at " +
+      fixed(packets[index - 1].timestamp(), 6) +
+      " s; a capture must be in non-decreasing time order");
+}
+
+}  // namespace
+
 std::vector<telescope::TelescopeEvent> ParallelBackscatterDetector::detect(
     std::span<const net::PacketRecord> packets) {
-  const int shards = parallel_.shards > 0 ? parallel_.shards : parallel_.threads;
-  const auto num_shards = static_cast<std::size_t>(std::max(shards, 1));
+  const int shards =
+      parallel_.shards > 0 ? parallel_.shards
+      : parallel_.threads > 1
+          ? std::min(parallel_.threads, kMaxDefaultShards / kShardsPerThread) *
+                kShardsPerThread
+          : 1;
+  const auto num_shards = static_cast<std::size_t>(shards);
   std::vector<std::vector<telescope::TelescopeEvent>> per_shard(num_shards);
   std::vector<TelescopeDetectStats> shard_stats(num_shards);
-
-  run_tasks(num_shards, parallel_.threads, [&](std::size_t shard) {
+  const auto run_detector = [&](std::size_t shard, auto&& feed) {
     telescope::BackscatterDetector detector(thresholds_, flow_timeout_s_);
-    std::uint64_t non_backscatter = 0;
-    for (const auto& rec : packets) {
-      if (!telescope::is_backscatter(rec)) {
-        ++non_backscatter;
-      } else if (num_shards == 1 ||
-                 shard_of(telescope::classify_backscatter(rec).victim,
-                          num_shards) == shard) {
-        detector.on_packet(rec);
-      }
-    }
-    // Shard 0 counts the packets no shard owns, so the shards' counters sum
-    // to the sequential detector's.
-    if (shard == 0) detector.skip_non_backscatter(non_backscatter);
+    feed(detector);
     per_shard[shard] = detector.finish();
     shard_stats[shard] = {detector.packets_seen(),
                           detector.backscatter_packets(),
                           detector.flows_filtered(), detector.events_emitted()};
-  });
+  };
+
+  if (num_shards == 1) {
+    // A lone shard scans the capture itself: partitioning would only copy.
+    run_detector(0, [&](telescope::BackscatterDetector& detector) {
+      double prev = -std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < packets.size(); ++i) {
+        const net::PacketRecord& rec = packets[i];
+        const double ts = rec.timestamp();
+        if (ts < prev) throw_out_of_order(packets, i);
+        prev = ts;
+        if (!telescope::is_backscatter(rec)) {
+          detector.skip_non_backscatter(1);
+          continue;
+        }
+        detector.on_backscatter(ts, telescope::classify_backscatter(rec),
+                                rec.ip_len, rec.dst);
+      }
+    });
+  } else {
+    // Partition pass: chunk c of the capture goes into buckets (c, 0) ..
+    // (c, num_shards - 1), one per victim shard, in capture order. Each
+    // chunk checks its own order and its first packet against the packet
+    // before it, so the chunks together check the whole capture.
+    const std::size_t chunks =
+        static_cast<std::size_t>(std::max(parallel_.threads, 1));
+    std::vector<std::vector<std::vector<BackscatterRecord>>> buckets(chunks);
+    std::vector<std::uint64_t> non_backscatter(chunks, 0);
+    std::vector<std::size_t> out_of_order(chunks, kInOrder);
+    run_tasks(chunks, parallel_.threads, [&](std::size_t c) {
+      const std::size_t begin = packets.size() * c / chunks;
+      const std::size_t end = packets.size() * (c + 1) / chunks;
+      double prev = begin > 0 ? packets[begin - 1].timestamp()
+                              : -std::numeric_limits<double>::infinity();
+      // Built locally and published once: tasks that wrote neighbouring
+      // counters or bucket headers would share cache lines on every packet.
+      std::vector<std::vector<BackscatterRecord>> own(num_shards);
+      std::uint64_t skipped = 0;
+      for (std::size_t i = begin; i < end; ++i) {
+        const net::PacketRecord& rec = packets[i];
+        const double ts = rec.timestamp();
+        if (ts < prev) {
+          out_of_order[c] = i;
+          return;
+        }
+        prev = ts;
+        if (!telescope::is_backscatter(rec)) {
+          ++skipped;
+          continue;
+        }
+        const telescope::BackscatterInfo info =
+            telescope::classify_backscatter(rec);
+        own[shard_of(info.victim, num_shards)].push_back(
+            {ts, info, rec.dst, rec.ip_len});
+      }
+      buckets[c] = std::move(own);
+      non_backscatter[c] = skipped;
+    });
+    // The first violation in capture order, whichever task found it.
+    const std::size_t first_bad =
+        *std::min_element(out_of_order.begin(), out_of_order.end());
+    if (first_bad != kInOrder) throw_out_of_order(packets, first_bad);
+
+    // Shard s reads buckets (0, s) .. (chunks - 1, s): its victims' packets
+    // in capture order. Shard 0 counts the packets no shard owns, so the
+    // shards' counters sum to the sequential detector's.
+    run_tasks(num_shards, parallel_.threads, [&](std::size_t shard) {
+      run_detector(shard, [&](telescope::BackscatterDetector& detector) {
+        for (std::size_t c = 0; c < chunks; ++c) {
+          for (const BackscatterRecord& r : buckets[c][shard])
+            detector.on_backscatter(r.ts, r.info, r.ip_len, r.dst);
+          if (shard == 0) detector.skip_non_backscatter(non_backscatter[c]);
+        }
+      });
+    });
+  }
 
   stats_ = TelescopeDetectStats{};
   for (const auto& s : shard_stats) {

@@ -3,11 +3,15 @@
 //
 //  * Telescope: all flow state is keyed by victim, and a flow ends on its
 //    victim's own gap (FlowTable::add). The victims are split by hash into
-//    shards; each shard task runs a plain BackscatterDetector over the
-//    backscatter of the victims it owns. The shards' events are
-//    concatenated and sorted once on the key (start, victim), which is
-//    unique across a capture, so the order does not depend on the shard
-//    count.
+//    shards. One partition pass, run as one task per thread over a
+//    contiguous chunk of the capture each, classifies every packet once
+//    and copies each backscatter packet into a (chunk, shard) bucket. Each
+//    shard task then runs a plain BackscatterDetector over its buckets in
+//    chunk order, i.e. over its own victims' backscatter in capture order.
+//    A lone shard skips the partition and scans the capture directly. The
+//    shards' events are concatenated and sorted once on the key (start,
+//    victim), which is unique across a capture, so the order does not
+//    depend on the shard count.
 //
 //  * AmpPot: consolidate_log already works per honeypot, so each log is one
 //    task, and one merge_fleet_events call over the concatenated stage-1
@@ -35,8 +39,11 @@ struct ParallelConfig {
   /// Worker threads; <= 1 runs every shard inline on the caller.
   int threads = 1;
   /// Victim-hash shards of the telescope detector (work-queue tasks); 0,
-  /// the value every production caller uses, means one per thread. Each
-  /// shard scans the whole capture. The field exists so the tests can pin
+  /// the value every production caller uses, means one shard at one
+  /// thread and eight per thread (at most 256) otherwise, so that a heavy
+  /// victim's shard does not hold up one thread while the others idle.
+  /// Each shard reads only its own victims' backscatter, from the
+  /// partition pass's buckets. The field exists so the tests can pin
   /// shard-count independence (13 shards over 3 threads) and so callers
   /// can brace-initialise {threads, 0}. AmpPot consolidation always runs
   /// one task per honeypot log.
@@ -52,8 +59,8 @@ struct TelescopeDetectStats {
 };
 
 /// Sharded, work-queue-driven equivalent of BackscatterDetector over an
-/// in-memory capture (time-ordered, as FlowTable requires). Stateless
-/// between calls: each detect() processes one complete capture.
+/// in-memory capture. Stateless between calls: each detect() processes one
+/// complete capture.
 class ParallelBackscatterDetector {
  public:
   explicit ParallelBackscatterDetector(
@@ -64,6 +71,15 @@ class ParallelBackscatterDetector {
   /// Detects attack events in `packets`; returns them in canonical
   /// (start, victim) order, byte-identical to the sequential detector for
   /// any thread/shard count.
+  ///
+  /// FlowTable needs non-decreasing timestamps, so a capture that steps
+  /// back in time is rejected rather than repaired: detect() throws
+  /// std::invalid_argument naming the first packet stamped before its
+  /// predecessor, whatever the thread and shard count, and stats() keeps
+  /// the previous call's counters. With more than one shard the check
+  /// runs before any flow is opened; a lone shard checks as it goes, so
+  /// the global telescope.flows_* counters may already count the flows it
+  /// opened before that packet.
   std::vector<telescope::TelescopeEvent> detect(
       std::span<const net::PacketRecord> packets);
 

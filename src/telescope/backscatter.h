@@ -21,8 +21,8 @@ namespace dosm::telescope {
 /// ICMP for echo/timestamp/info/mask replies (ping-flood style attacks).
 struct BackscatterInfo {
   net::Ipv4Addr victim;          // source of the response packet
-  std::uint8_t attack_proto = 0; // attributed IP protocol of the attack
   std::uint16_t victim_port = 0; // attacked port on the victim (0 if unknown)
+  std::uint8_t attack_proto = 0; // attributed IP protocol of the attack
   bool has_port = false;
 };
 

@@ -9,8 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/time.h"
@@ -62,8 +60,9 @@ bool passes_thresholds(const TelescopeEvent& event,
 /// the timeout after its flow's last packet closes that flow first, so the
 /// split depends only on the victim's own traffic. Each add() also expires
 /// idle flows of other victims lazily, which emits them earlier and frees
-/// their memory (packets must be fed in non-decreasing time order, which
-/// holds for both live capture and pcap replay).
+/// their memory. Packets must be fed in non-decreasing time order;
+/// parallel::ParallelBackscatterDetector::detect rejects a capture that is
+/// not.
 class FlowTable {
  public:
   using FlowCallback = std::function<void(const TelescopeEvent&)>;
@@ -80,32 +79,71 @@ class FlowTable {
   std::size_t active_flows() const { return flows_.size(); }
 
  private:
+  /// Distinct uint32 values in one open-addressed, linearly probed vector
+  /// of slots. A zero slot is empty, so the value 0 is held by a flag
+  /// instead; every other value, 0xffffffff included, sits in a slot.
+  class SourceSet {
+   public:
+    void insert(std::uint32_t value);
+    std::size_t size() const { return size_; }
+
+   private:
+    void grow();
+
+    std::vector<std::uint32_t> slots_;  // power-of-two size, or empty
+    std::size_t size_ = 0;              // distinct values, 0 included
+    int shift_ = 32;                    // 32 - log2(slots_.size())
+    bool has_zero_ = false;
+  };
+
+  struct PortCount {
+    std::uint16_t port;
+    std::uint32_t count;
+  };
+  struct ProtoVotes {
+    std::uint8_t proto;
+    std::uint64_t votes;
+  };
+
   struct Flow {
+    explicit Flow(net::Ipv4Addr v) : victim(v) {}
+
+    net::Ipv4Addr victim;
     double first_ts = 0.0;
     double last_ts = 0.0;
     std::uint64_t packets = 0;
     std::uint64_t bytes = 0;
     // Distinct telescope destinations (spoofed sources that fell in the
-    // darknet). Bounded: once the set saturates we only count.
-    std::unordered_set<std::uint32_t> sources;
-    bool sources_saturated = false;
-    // Distinct victim ports with frequencies (bounded; beyond the cap the
-    // flow is multi-port regardless).
-    std::unordered_map<std::uint16_t, std::uint32_t> ports;
-    // Attack-protocol votes: proto -> packet count.
-    std::unordered_map<std::uint8_t, std::uint64_t> proto_votes;
-    // Max packets/sec over one-minute buckets.
-    std::int64_t current_minute = -1;
+    // darknet). Bounded: once the set holds kMaxTrackedSources we only
+    // count packets.
+    SourceSet sources;
+    // Distinct victim ports with frequencies, in first-seen order
+    // (bounded; beyond the cap the flow is multi-port regardless).
+    std::vector<PortCount> ports;
+    // Attack-protocol votes, in first-seen order.
+    std::vector<ProtoVotes> proto_votes;
+    // Max packets/sec over one-minute buckets: `minute` is floor(ts / 60)
+    // of the packets counted in count_in_minute.
+    double minute = -1.0;
     std::uint64_t count_in_minute = 0;
     std::uint64_t max_per_minute = 0;
   };
 
-  TelescopeEvent finalize(net::Ipv4Addr victim, const Flow& flow) const;
+  /// The open flow of `victim`, opened empty if it has none.
+  Flow& flow_of(net::Ipv4Addr victim);
+  /// Rebuilds index_ over flows_, sized to keep it at most half full.
+  void reindex();
+  TelescopeEvent finalize(const Flow& flow) const;
   void sweep(double now);
 
   FlowCallback on_flow_;
   double flow_timeout_s_;
-  std::unordered_map<net::Ipv4Addr, Flow> flows_;
+  // Open flows, one per victim, in no particular order.
+  std::vector<Flow> flows_;
+  // Open-addressed, linearly probed index over flows_: a slot holds the
+  // flow's position + 1, and 0 marks an empty slot.
+  std::vector<std::uint32_t> index_;
+  int index_shift_ = 0;  // 32 - log2(index_.size())
   double last_sweep_ = 0.0;
 
   static constexpr std::size_t kMaxTrackedSources = 4096;
@@ -123,6 +161,17 @@ class BackscatterDetector {
   /// Processes one captured packet (non-backscatter packets are ignored but
   /// counted).
   void on_packet(const net::PacketRecord& rec);
+
+  /// Processes one packet the caller already classified: `info` is
+  /// classify_backscatter of a backscatter packet captured at `ts` with IP
+  /// length `ip_len` and destination `telescope_dst`. Counts it as seen
+  /// and as backscatter, exactly as on_packet would.
+  void on_backscatter(double ts, const BackscatterInfo& info,
+                      std::uint16_t ip_len, net::Ipv4Addr telescope_dst) {
+    ++packets_seen_;
+    ++backscatter_packets_;
+    flows_.add(ts, info, ip_len, telescope_dst);
+  }
 
   /// Counts `packets` non-backscatter packets that the caller filtered out
   /// instead of passing them to on_packet.

@@ -135,6 +135,15 @@ reject(--k query --seed 7 --days 10 --k 100001)
 reject(--min-intensity query --seed 7 --days 10 --min-intensity nan)
 reject(--min-intensity query --seed 7 --days 10 --min-intensity inf)
 
+# A capture that is not a pcap, or whose packets step back in time, is bad
+# input: `detect --pcap` exits 2 at any thread count. out-of-order.pcap is
+# the first six frames of `dosmeter detect --direct 2 --reflection 1
+# --hours 0.1 --save-pcap F` with packet 4 restamped to 1 ms into the
+# capture, before packet 3.
+reject(--pcap detect --pcap ${GOLDEN}/daily.csv)
+reject(--pcap detect --pcap ${GOLDEN}/out-of-order.pcap)
+reject(--pcap detect --pcap ${GOLDEN}/out-of-order.pcap --threads 3)
+
 get_property(failures GLOBAL PROPERTY cli_golden_failures)
 if(failures)
   list(LENGTH failures count)

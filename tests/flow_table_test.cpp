@@ -197,6 +197,151 @@ TEST(FlowTable, CountsUniqueTelescopeSources) {
   EXPECT_EQ(flows[0].unique_sources, 10u);
 }
 
+// The source set is open-addressed with 0 marking an empty slot, so the
+// addresses at both ends of the range are the ones a sentinel can swallow
+// (0.0.0.0) or wrap onto (255.255.255.255). Each case feeds every source
+// twice and expects it counted once, up to the 4096-source cap.
+std::uint32_t unique_sources_of(const std::vector<std::uint32_t>& sources) {
+  std::vector<TelescopeEvent> flows;
+  FlowTable table([&](const TelescopeEvent& e) { flows.push_back(e); });
+  const Ipv4Addr victim(1, 1, 1, 1);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::uint32_t dst : sources)
+      table.add(100.0 + pass, tcp_info(victim, 80), 40, Ipv4Addr(dst));
+  }
+  table.flush();
+  EXPECT_EQ(flows.size(), 1u);
+  return flows.empty() ? 0 : flows[0].unique_sources;
+}
+
+/// `first`, then `count` distinct addresses inside 44.0.0.0/8, then `last`.
+std::vector<std::uint32_t> sources_between(
+    const std::vector<std::uint32_t>& first, std::uint32_t count,
+    const std::vector<std::uint32_t>& last) {
+  std::vector<std::uint32_t> sources = first;
+  for (std::uint32_t i = 1; i <= count; ++i)
+    sources.push_back(0x2c000000u + i * 97u);
+  for (const std::uint32_t value : last) sources.push_back(value);
+  return sources;
+}
+
+TEST(FlowTable, SourceCapWithExtremeAddresses) {
+  constexpr std::uint32_t kZero = 0x00000000u;
+  constexpr std::uint32_t kOnes = 0xffffffffu;
+  for (const std::uint32_t total : {4095u, 4096u, 4097u}) {
+    SCOPED_TRACE("distinct sources: " + std::to_string(total));
+    const std::uint32_t expected = std::min(total, 4096u);
+    // Both extremes first, both last, and one at each end.
+    EXPECT_EQ(unique_sources_of(sources_between({kZero, kOnes}, total - 2, {})),
+              expected);
+    EXPECT_EQ(unique_sources_of(sources_between({}, total - 2, {kOnes, kZero})),
+              expected);
+    EXPECT_EQ(unique_sources_of(sources_between({kOnes}, total - 2, {kZero})),
+              expected);
+  }
+  EXPECT_EQ(unique_sources_of({kZero}), 1u);
+  EXPECT_EQ(unique_sources_of({kOnes}), 1u);
+  EXPECT_EQ(unique_sources_of({kOnes, kZero, kOnes, kZero}), 2u);
+}
+
+TEST(FlowTable, SourceSetGrowsAcrossRehashes) {
+  // Counts just below, at and above each doubling of the slot vector, with
+  // sequential, strided and high-bit-only addresses (the last collide in
+  // the low bits, so probe runs cross the wrap of the slot vector).
+  for (const std::uint32_t count :
+       {1u, 7u, 8u, 9u, 15u, 16u, 17u, 33u, 100u, 1000u, 2048u, 2049u,
+        3000u}) {
+    SCOPED_TRACE(count);
+    std::vector<std::uint32_t> sequential, strided, high_bits;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      sequential.push_back(0x2c000001u + i);
+      strided.push_back(0x2c000000u + (i + 1) * 4096u);
+      high_bits.push_back((i + 1) << 20);
+    }
+    EXPECT_EQ(unique_sources_of(sequential), count);
+    EXPECT_EQ(unique_sources_of(strided), count);
+    EXPECT_EQ(unique_sources_of(high_bits), count);
+  }
+}
+
+TEST(FlowTable, PortCountsRiseForEveryTrackedPortPastCap) {
+  // 64 ports fill the cap in ascending order; the first and the last of
+  // them then take the lead in turn. Untracked ports never count.
+  std::vector<TelescopeEvent> flows;
+  FlowTable table([&](const TelescopeEvent& e) { flows.push_back(e); });
+  const Ipv4Addr victim(1, 1, 1, 1);
+  const Ipv4Addr src(44, 0, 0, 1);
+  for (std::uint16_t p = 2000; p < 2064; ++p)
+    table.add(100.0, tcp_info(victim, p), 40, src);
+  for (int i = 0; i < 50; ++i) table.add(101.0, tcp_info(victim, 1), 40, src);
+  for (int i = 0; i < 3; ++i) table.add(101.0, tcp_info(victim, 2063), 40, src);
+  for (int i = 0; i < 4; ++i) table.add(101.0, tcp_info(victim, 2000), 40, src);
+  table.flush();
+  ASSERT_EQ(flows.size(), 1u);
+  EXPECT_EQ(flows[0].num_ports, 64);
+  EXPECT_EQ(flows[0].top_port, 2000);  // 5 hits beat 2063's 4 and port 1's 0
+}
+
+TEST(FlowTable, TiesBreakByValueWhateverTheArrivalOrder) {
+  // Tied ports and protocols arrive highest first, so a first-seen winner
+  // would be wrong. Also a three-way tie at the port cap.
+  std::vector<TelescopeEvent> events;
+  FlowTable table([&](const TelescopeEvent& e) { events.push_back(e); });
+  const Ipv4Addr scope(44, 0, 0, 1);
+  const Ipv4Addr a(1, 2, 3, 4), b(5, 6, 7, 8);
+  auto add = [&](Ipv4Addr victim, double ts, std::uint16_t port,
+                 std::uint8_t proto) {
+    BackscatterInfo info = tcp_info(victim, port);
+    info.attack_proto = proto;
+    table.add(ts, info, 40, scope);
+  };
+  for (int i = 0; i < 2; ++i) {
+    add(a, i, 443, 17);
+    add(a, i, 80, 6);
+  }
+  for (std::uint16_t p = 64; p > 0; --p) add(b, 0.0, p, 1);
+  const std::uint16_t tied[] = {64, 33, 7};
+  for (const std::uint16_t p : tied) add(b, 1.0, p, 1);
+  table.flush();
+  std::sort(events.begin(), events.end(), event_less);
+  ASSERT_EQ(events.size(), 2u);
+  const TelescopeEvent& ea = events[0].victim == a ? events[0] : events[1];
+  const TelescopeEvent& eb = events[0].victim == a ? events[1] : events[0];
+  EXPECT_EQ(ea.top_port, 80);
+  EXPECT_EQ(ea.attack_proto, 6);
+  EXPECT_EQ(eb.num_ports, 64);
+  EXPECT_EQ(eb.top_port, 7);
+  EXPECT_EQ(eb.attack_proto, 1);
+}
+
+TEST(FlowTable, ManyVictimsAcrossIndexGrowthAndSweeps) {
+  // 3,000 victims open flows (the victim index doubles many times), half
+  // of them go quiet and are swept (the index is rebuilt smaller), and the
+  // rest keep their flows through it.
+  std::vector<TelescopeEvent> flows;
+  FlowTable table([&](const TelescopeEvent& e) { flows.push_back(e); });
+  const Ipv4Addr scope(44, 0, 0, 1);
+  for (std::uint32_t v = 0; v < 3000; ++v)
+    table.add(100.0, tcp_info(Ipv4Addr(v << 12), 80), 40, scope);
+  EXPECT_EQ(table.active_flows(), 3000u);
+  for (std::uint32_t v = 0; v < 3000; v += 2)
+    table.add(300.0, tcp_info(Ipv4Addr(v << 12), 80), 40, scope);
+  table.add(500.0, tcp_info(Ipv4Addr(0), 80), 40, scope);  // sweeps
+  EXPECT_EQ(flows.size(), 1500u);
+  EXPECT_EQ(table.active_flows(), 1500u);
+  for (std::uint32_t v = 0; v < 3000; v += 2)
+    table.add(550.0, tcp_info(Ipv4Addr(v << 12), 80), 40, scope);
+  table.flush();
+  ASSERT_EQ(flows.size(), 3000u);
+  std::uint64_t packets = 0;
+  for (const auto& flow : flows) {
+    const bool even = (flow.victim.value() >> 12) % 2 == 0;
+    EXPECT_EQ(flow.packets, even ? (flow.victim.value() == 0 ? 4u : 3u) : 1u);
+    packets += flow.packets;
+  }
+  EXPECT_EQ(packets, 3000u + 1500u + 1u + 1500u);
+}
+
 TEST(Detector, FullPathFiltersSubThresholdFlows) {
   BackscatterDetector detector;
   net::PacketRecord rec;

@@ -1,11 +1,14 @@
 // Concurrency stress surface for the sanitizer matrix (run under TSan in
-// CI). Hammers the work queue, the sharded detectors, and the lazily-sorted
+// CI). Hammers the work queue, the sharded detectors (the telescope
+// partition pass and its shard tasks), and the lazily-sorted
 // EmpiricalDistribution from many threads; correctness assertions are
 // secondary to giving the race detector real interleavings to chew on.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -48,6 +51,32 @@ TEST(ParallelStress, RepeatedShardedDetects) {
     EXPECT_EQ(detector.detect(workload.packets).size(), first.size());
     EXPECT_EQ(parallel_consolidate(logs, {}, ParallelConfig{8, 16}).size(),
               first_merged.size());
+  }
+}
+
+TEST(ParallelStress, PartitionPassRejectsOutOfOrderCaptures) {
+  // Every chunk of the partition pass finds a step back in time at once;
+  // the detector must name the first whichever task records it first.
+  WorkloadConfig config;
+  config.seed = 6;
+  config.direct_attacks = 12;
+  config.reflection_attacks = 4;
+  config.window_s = 900.0;
+  auto packets = make_workload(config).packets;
+  ASSERT_GT(packets.size(), 64u);
+  for (auto& rec : packets) rec.ts_sec += 1000;
+  for (std::size_t i = 16; i < packets.size(); i += packets.size() / 16)
+    packets[i].ts_sec = 0;
+  const std::string first = "packet 16 is stamped";
+  ParallelBackscatterDetector detector(ParallelConfig{8, 16});
+  for (int round = 0; round < 5; ++round) {
+    try {
+      detector.detect(packets);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(first), std::string::npos)
+          << e.what();
+    }
   }
 }
 

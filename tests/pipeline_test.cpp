@@ -118,11 +118,10 @@ TEST(Pipeline, CustomThresholdsAreHonored) {
 }
 
 // Regression: the sequential RsdosPlugin once collected end-of-trace events
-// in the flow table's hash-flush order, while the sharded detector sorted,
-// so the two paths disagreed on byte order. BackscatterDetector::finish()
-// now owns the order: it returns (start, victim)-sorted events, and the
-// plugin presents exactly that, for inputs whose raw flush order is not
-// sorted.
+// in the flow table's flush order, while the sharded detector sorted, so
+// the two paths disagreed on byte order. BackscatterDetector::finish() now
+// owns the order: it returns (start, victim)-sorted events, and the plugin
+// presents exactly that, for inputs whose raw close order is not sorted.
 TEST(Pipeline, RsdosEventsAreCanonicallySortedAfterFinish) {
   ClassifierThresholds lax;
   lax.min_packets = 1;
@@ -131,15 +130,21 @@ TEST(Pipeline, RsdosEventsAreCanonicallySortedAfterFinish) {
   const auto victim = [](int i) {
     return Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(i));
   };
-  // 16 victims, ascending insertion order. First, every flow gets the same
-  // start timestamp, so the canonical order is by victim address. Second,
-  // one packet per victim with starts descending by address, so the
-  // canonical order reverses the address order. Both stay open until the
-  // end-of-trace flush.
+  // The flow table closes flows in the order they opened, except where a
+  // flow reopens in its victim's old slot. First, 16 flows with the same
+  // start timestamp open in descending address order, so the canonical
+  // order reverses the open order. Second, 16 victims open at 100 + i s; a
+  // packet of victim 16 at 380 s runs a sweep that keeps every flow, and
+  // victims 1..15 return 301.5 s after their first packet, before the next
+  // sweep may run, so each splits and reopens in its old slot with a later
+  // start than victim 16's.
   std::vector<std::vector<PacketRecord>> inputs(2);
-  for (int i = 1; i <= 16; ++i) inputs[0].push_back(backscatter_at(100.0, victim(i)));
-  for (int i = 1; i <= 16; ++i) inputs[0].push_back(backscatter_at(200.0, victim(i)));
-  for (int i = 16; i >= 1; --i) inputs[1].push_back(backscatter_at(100.0 + (16 - i), victim(i)));
+  std::vector<std::size_t> closed = {16, 31};
+  for (int i = 16; i >= 1; --i) inputs[0].push_back(backscatter_at(100.0, victim(i)));
+  for (int i = 16; i >= 1; --i) inputs[0].push_back(backscatter_at(200.0, victim(i)));
+  for (int i = 1; i <= 16; ++i) inputs[1].push_back(backscatter_at(100.0 + i, victim(i)));
+  inputs[1].push_back(backscatter_at(380.0, victim(16)));
+  for (int i = 1; i <= 15; ++i) inputs[1].push_back(backscatter_at(401.5 + i, victim(i)));
 
   const auto canonical = [](const TelescopeEvent& a, const TelescopeEvent& b) {
     return std::tie(a.start, a.victim) < std::tie(b.start, b.victim);
@@ -153,21 +158,21 @@ TEST(Pipeline, RsdosEventsAreCanonicallySortedAfterFinish) {
     for (const auto& rec : packets)
       table.add(rec.timestamp(), classify_backscatter(rec), rec.ip_len, rec.dst);
     table.flush();
-    ASSERT_EQ(flushed.size(), 16u);
+    ASSERT_EQ(flushed.size(), closed[input]);
     ASSERT_FALSE(std::is_sorted(flushed.begin(), flushed.end(), canonical))
-        << "the flush order is already canonical; the input proves nothing";
+        << "the close order is already canonical; the input proves nothing";
 
     BackscatterDetector detector(lax);
     for (const auto& rec : packets) detector.on_packet(rec);
     const auto events = detector.finish();
-    ASSERT_EQ(events.size(), 16u);
+    ASSERT_EQ(events.size(), closed[input]);
     EXPECT_TRUE(std::is_sorted(events.begin(), events.end(), canonical));
 
     Pipeline pipeline;
     auto& rsdos = pipeline.emplace_plugin<RsdosPlugin>(lax);
     pipeline.replay(packets);
     pipeline.finish();
-    ASSERT_EQ(rsdos.events().size(), 16u);
+    ASSERT_EQ(rsdos.events().size(), closed[input]);
     for (std::size_t i = 0; i < events.size(); ++i) {
       EXPECT_EQ(rsdos.events()[i].victim, events[i].victim) << "row " << i;
       EXPECT_EQ(rsdos.events()[i].start, events[i].start) << "row " << i;

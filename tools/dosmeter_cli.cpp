@@ -59,6 +59,7 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -445,13 +446,14 @@ constexpr std::string_view kDetectUsage =
     "  --hours H       capture window length in hours (default 4)\n"
     "  --pcap F        replay a pcap capture through the batched ingest\n"
     "                  front end (src/ingest) instead of the synthetic\n"
-    "                  workload; telescope detection only\n"
+    "                  workload; telescope detection only. A malformed\n"
+    "                  record or a packet stamped before its predecessor\n"
+    "                  exits 2\n"
     "  --batch-frames N   frames per ingest batch (default 4096)\n"
     "  --ring-capacity N  ingest ring capacity in batches (default 8)\n"
     "  --save-pcap F   write the synthetic telescope capture to F\n"
     "                  (LINKTYPE_RAW) and exit\n"
-    "  --threads N     worker threads and telescope victim shards\n"
-    "                  (default 1)\n"
+    "  --threads N     worker threads (default 1)\n"
     "  --save-events F write the fused events as a binary dump\n"
     "  --metrics-out F write pipeline metrics after the run\n"
     "                  (.prom -> Prometheus text, else JSON)\n"
@@ -509,7 +511,12 @@ int detect_main(int argc, char** argv) {
       std::cerr << "cannot open " << options.pcap_in << "\n";
       return 2;
     }
-    capture_packets = ingest::read_packets(pcap, options.ingest);
+    try {
+      capture_packets = ingest::read_packets(pcap, options.ingest);
+    } catch (const std::runtime_error& e) {
+      std::cerr << "--pcap: " << options.pcap_in << ": " << e.what() << "\n";
+      return 2;
+    }
     std::cerr << "[dosmeter] capture: " << capture_packets.size()
               << " packets from " << options.pcap_in << " (batched ingest, "
               << options.parallel.threads << " threads)\n";
@@ -537,7 +544,15 @@ int detect_main(int argc, char** argv) {
   }
 
   parallel::ParallelBackscatterDetector detector(options.parallel);
-  const auto telescope_events = detector.detect(capture_packets);
+  std::vector<telescope::TelescopeEvent> telescope_events;
+  try {
+    telescope_events = detector.detect(capture_packets);
+  } catch (const std::invalid_argument& e) {
+    // A capture out of time order is bad input, like a malformed record.
+    if (options.pcap_in.empty()) throw;
+    std::cerr << "--pcap: " << options.pcap_in << ": " << e.what() << "\n";
+    return 2;
+  }
   const std::vector<amppot::AmpPotEvent> honeypot_events =
       fleet ? parallel::parallel_harvest(*fleet, {}, options.parallel)
             : std::vector<amppot::AmpPotEvent>{};
