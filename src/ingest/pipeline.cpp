@@ -1,5 +1,6 @@
 #include "ingest/pipeline.h"
 
+#include <algorithm>
 #include <exception>
 #include <thread>
 #include <utility>
@@ -10,8 +11,25 @@
 
 namespace dosm::ingest {
 
-IngestStats run_ingest(std::istream& pcap_stream, const IngestOptions& options,
-                       const RecordBatchSink& sink) {
+namespace {
+
+/// Fewest capture bytes a kept packet consumes: a 16-byte record header
+/// plus a 20-byte IPv4 header. A stream's size over this bounds its packets.
+constexpr std::size_t kMinKeptRecordBytes = 16 + 20;
+
+/// Most records read_packets reserves from a size hint (192 MiB of
+/// PacketRecords), so a huge or lying hint cannot fail the reservation
+/// before a byte is read. Past it the vector grows geometrically.
+constexpr std::size_t kMaxReservedRecords = std::size_t{1} << 22;
+
+/// The capture-thread -> ring -> decode pipeline behind run_ingest and
+/// read_packets. Each batch decodes by appending to `out`; `deliver(out)`
+/// then runs on the consumer thread before the next batch is popped.
+template <typename Deliver>
+IngestStats run_pipeline(std::istream& pcap_stream,
+                         const IngestOptions& options,
+                         std::vector<net::PacketRecord>& out,
+                         Deliver&& deliver) {
   BatchedPcapReader reader(pcap_stream, options.read_chunk_bytes);
   const std::uint32_t link_type = reader.link_type();
   SpscRing<FrameBatch> ring(options.ring_capacity);
@@ -45,18 +63,17 @@ IngestStats run_ingest(std::istream& pcap_stream, const IngestOptions& options,
   });
 
   FrameBatch batch;
-  std::vector<net::PacketRecord> records;
   while (ring.pop(batch)) {
-    records.clear();
-    const DecodeStats decoded = decode_batch(batch, link_type, records);
-    sink(std::span<const net::PacketRecord>(records));
+    const std::size_t before = out.size();
+    const DecodeStats decoded = decode_batch(batch, link_type, out);
     ++stats.batches;
     stats.frames += batch.size();
-    stats.packets += records.size();
+    stats.packets += out.size() - before;
     stats.bytes += batch.bytes.size();
     stats.skipped_link += decoded.skipped_link;
     stats.skipped_truncated += decoded.skipped_truncated;
     stats.skipped_undecodable += decoded.skipped_undecodable;
+    deliver(out);
     // Return the drained batch for arena reuse; if the return ring is full
     // the batch simply frees here.
     batch.clear();
@@ -84,13 +101,32 @@ IngestStats run_ingest(std::istream& pcap_stream, const IngestOptions& options,
   return stats;
 }
 
+}  // namespace
+
+IngestStats run_ingest(std::istream& pcap_stream, const IngestOptions& options,
+                       const RecordBatchSink& sink) {
+  std::vector<net::PacketRecord> records;
+  return run_pipeline(pcap_stream, options, records,
+                      [&](std::vector<net::PacketRecord>& decoded) {
+                        sink(std::span<const net::PacketRecord>(decoded));
+                        decoded.clear();
+                      });
+}
+
 std::vector<net::PacketRecord> read_packets(std::istream& pcap_stream,
                                             const IngestOptions& options) {
   std::vector<net::PacketRecord> packets;
-  run_ingest(pcap_stream, options,
-             [&](std::span<const net::PacketRecord> records) {
-               packets.insert(packets.end(), records.begin(), records.end());
-             });
+  // Asked before the reader takes the global header: an ifstream reports
+  // the whole file only while its buffer is still empty.
+  const std::streamsize hint =
+      pcap_stream.rdbuf() != nullptr ? pcap_stream.rdbuf()->in_avail() : 0;
+  if (hint > 0) {
+    packets.reserve(std::min(
+        static_cast<std::size_t>(hint) / kMinKeptRecordBytes,
+        kMaxReservedRecords));
+  }
+  run_pipeline(pcap_stream, options, packets,
+               [](const std::vector<net::PacketRecord>&) {});
   return packets;
 }
 

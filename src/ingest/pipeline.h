@@ -59,7 +59,15 @@ using RecordBatchSink = std::function<void(std::span<const net::PacketRecord>)>;
 IngestStats run_ingest(std::istream& pcap_stream, const IngestOptions& options,
                        const RecordBatchSink& sink);
 
-/// Convenience: batched read of an entire capture into a vector.
+/// Batched read of an entire capture into one vector, decoded straight into
+/// it through the same pipeline as run_ingest (same order, same errors).
+/// The vector is reserved once from `pcap_stream.rdbuf()->in_avail()`, asked
+/// before the global header is read: an ifstream reports the file's size
+/// only while its buffer is still empty, an istringstream or an in-memory
+/// streambuf its whole content. A kept packet consumes at least 36 bytes (a
+/// 16-byte record header and a 20-byte IPv4 header), so size / 36 records
+/// suffice for a truthful hint. The reservation is capped at 4 Mi records;
+/// past the cap, or without a hint, the vector grows geometrically.
 std::vector<net::PacketRecord> read_packets(std::istream& pcap_stream,
                                             const IngestOptions& options = {});
 

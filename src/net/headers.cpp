@@ -18,28 +18,11 @@ void put_u32(std::vector<std::uint8_t>& out, std::size_t offset, std::uint32_t v
   out[offset + 3] = static_cast<std::uint8_t>(v & 0xff);
 }
 
-std::uint16_t get_u16(std::span<const std::uint8_t> in, std::size_t offset) {
-  return static_cast<std::uint16_t>((in[offset] << 8) | in[offset + 1]);
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t offset) {
-  return (static_cast<std::uint32_t>(in[offset]) << 24) |
-         (static_cast<std::uint32_t>(in[offset + 1]) << 16) |
-         (static_cast<std::uint32_t>(in[offset + 2]) << 8) |
-         static_cast<std::uint32_t>(in[offset + 3]);
-}
-
-constexpr std::size_t kIpHeaderLen = 20;
+using detail::is_icmp_error;
+using detail::kIcmpHeaderLen;
+using detail::kIpHeaderLen;
 constexpr std::size_t kTcpHeaderLen = 20;
 constexpr std::size_t kUdpHeaderLen = 8;
-constexpr std::size_t kIcmpHeaderLen = 8;
-
-bool is_icmp_error(std::uint8_t type) {
-  const auto t = static_cast<IcmpType>(type);
-  return t == IcmpType::kDestUnreachable || t == IcmpType::kSourceQuench ||
-         t == IcmpType::kRedirect || t == IcmpType::kTimeExceeded ||
-         t == IcmpType::kParameterProblem;
-}
 
 /// Writes the 20-byte IPv4 header (checksum filled) at out[0..20).
 void write_ip_header(std::vector<std::uint8_t>& out, const PacketRecord& rec,
@@ -132,65 +115,12 @@ std::optional<PacketRecord> decode_packet(std::span<const std::uint8_t> bytes,
                                           std::uint32_t ts_usec,
                                           bool* checksum_ok) {
   PacketRecord rec;
-  if (!decode_packet_into(bytes, ts_sec, ts_usec, rec, checksum_ok))
-    return std::nullopt;
-  return rec;
-}
-
-bool decode_packet_into(std::span<const std::uint8_t> bytes,
-                        UnixSeconds ts_sec, std::uint32_t ts_usec,
-                        PacketRecord& rec, bool* checksum_ok) {
-  if (bytes.size() < kIpHeaderLen) return false;
-  if ((bytes[0] >> 4) != 4) return false;  // not IPv4
-  const std::size_t ihl = static_cast<std::size_t>(bytes[0] & 0x0f) * 4;
-  if (ihl < kIpHeaderLen || bytes.size() < ihl) return false;
-
-  rec = PacketRecord{};
-  rec.ts_sec = ts_sec;
-  rec.ts_usec = ts_usec;
-  rec.ip_len = get_u16(bytes, 2);
-  rec.ttl = bytes[8];
-  rec.proto = bytes[9];
-  rec.src = Ipv4Addr(get_u32(bytes, 12));
-  rec.dst = Ipv4Addr(get_u32(bytes, 16));
-
-  if (checksum_ok != nullptr)
+  if (!decode_packet_into(bytes, ts_sec, ts_usec, rec)) return std::nullopt;
+  if (checksum_ok != nullptr) {
+    const std::size_t ihl = static_cast<std::size_t>(bytes[0] & 0x0f) * 4;
     *checksum_ok = internet_checksum(bytes.subspan(0, ihl)) == 0;
-
-  const auto payload = bytes.subspan(ihl);
-  if (rec.is_tcp()) {
-    if (payload.size() < 14) return true;  // truncated transport: keep IP view
-    rec.src_port = get_u16(payload, 0);
-    rec.dst_port = get_u16(payload, 2);
-    rec.tcp_flags = payload[13] & 0x3f;
-  } else if (rec.is_udp()) {
-    if (payload.size() < 4) return true;
-    rec.src_port = get_u16(payload, 0);
-    rec.dst_port = get_u16(payload, 2);
-  } else if (rec.is_icmp()) {
-    if (payload.size() < 2) return true;
-    rec.icmp_type = payload[0];
-    rec.icmp_code = payload[1];
-    if (is_icmp_error(rec.icmp_type) && payload.size() >= kIcmpHeaderLen + kIpHeaderLen) {
-      const auto quoted = payload.subspan(kIcmpHeaderLen);
-      if ((quoted[0] >> 4) == 4) {
-        const std::size_t qihl = static_cast<std::size_t>(quoted[0] & 0x0f) * 4;
-        if (qihl >= kIpHeaderLen && quoted.size() >= qihl) {
-          rec.has_quoted = true;
-          rec.quoted_proto = quoted[9];
-          rec.quoted_src = Ipv4Addr(get_u32(quoted, 12));
-          rec.quoted_dst = Ipv4Addr(get_u32(quoted, 16));
-          if (quoted.size() >= qihl + 4 &&
-              (rec.quoted_proto == static_cast<std::uint8_t>(IpProto::kTcp) ||
-               rec.quoted_proto == static_cast<std::uint8_t>(IpProto::kUdp))) {
-            rec.quoted_src_port = get_u16(quoted, qihl + 0);
-            rec.quoted_dst_port = get_u16(quoted, qihl + 2);
-          }
-        }
-      }
-    }
   }
-  return true;
+  return rec;
 }
 
 }  // namespace dosm::net

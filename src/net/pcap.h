@@ -101,10 +101,51 @@ enum class FrameDecode : std::uint8_t {
 /// Decodes one frame's bytes at the given link layer: strips the Ethernet
 /// header (including 802.1Q/802.1ad VLAN tags) when `link_type` is
 /// kLinkTypeEthernet, rejects snaplen-truncated IPv4 (total_length beyond
-/// the capture), then parses via decode_packet_into.
-FrameDecode decode_frame(std::span<const std::uint8_t> bytes,
-                         std::uint32_t link_type, UnixSeconds ts_sec,
-                         std::uint32_t ts_usec, PacketRecord& rec);
+/// the capture), then parses via decode_packet_into. Forced inline into
+/// both front ends' per-packet loops, like decode_packet_into.
+[[gnu::always_inline]] inline FrameDecode decode_frame(
+    std::span<const std::uint8_t> bytes, std::uint32_t link_type,
+    UnixSeconds ts_sec, std::uint32_t ts_usec, PacketRecord& rec) {
+  std::span<const std::uint8_t> payload = bytes;
+  if (link_type == kLinkTypeEthernet) {
+    if (payload.size() < 14) return FrameDecode::kSkipLink;
+    std::uint16_t ethertype =
+        static_cast<std::uint16_t>((payload[12] << 8) | payload[13]);
+    std::size_t offset = 14;
+    // Strip 802.1Q/802.1ad VLAN tags (4 bytes each: TPID already consumed as
+    // the EtherType, then TCI + the inner EtherType). Captures at IXP/core
+    // vantage points are routinely tagged; bounded nesting guards against
+    // adversarial tag chains.
+    for (int depth = 0;
+         (ethertype == kEtherTypeVlan || ethertype == kEtherTypeQinQ) &&
+         depth < 4;
+         ++depth) {
+      if (payload.size() < offset + 4) return FrameDecode::kSkipLink;
+      ethertype = static_cast<std::uint16_t>((payload[offset + 2] << 8) |
+                                             payload[offset + 3]);
+      offset += 4;
+    }
+    if (ethertype != kEtherTypeIpv4) return FrameDecode::kSkipLink;
+    payload = payload.subspan(offset);
+  }
+  // Snaplen truncation gate: an IPv4 packet whose total_length claims more
+  // bytes than the capture holds must not flow downstream as if complete —
+  // flow byte counts and transport fields would be computed from a partial
+  // packet. (total_length < captured size is fine: Ethernet pads.)
+  if (payload.size() < 20) {
+    return (!payload.empty() && (payload[0] >> 4) == 4)
+               ? FrameDecode::kSkipTruncated
+               : FrameDecode::kSkipUndecodable;
+  }
+  if ((payload[0] >> 4) == 4) {
+    const std::size_t total_length =
+        static_cast<std::size_t>((payload[2] << 8) | payload[3]);
+    if (total_length > payload.size()) return FrameDecode::kSkipTruncated;
+  }
+  if (!decode_packet_into(payload, ts_sec, ts_usec, rec))
+    return FrameDecode::kSkipUndecodable;
+  return FrameDecode::kOk;
+}
 
 /// Reads every decodable packet from a pcap byte buffer (test helper).
 std::vector<PacketRecord> decode_pcap(std::span<const std::uint8_t> file_bytes);

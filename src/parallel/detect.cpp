@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
-#include "common/strings.h"
 #include "parallel/shard.h"
 #include "parallel/work_queue.h"
 #include "telescope/backscatter.h"
@@ -43,12 +40,8 @@ constexpr int kMaxDefaultShards = 256;
 
 [[noreturn]] void throw_out_of_order(std::span<const net::PacketRecord> packets,
                                      std::size_t index) {
-  throw std::invalid_argument(
-      "packet " + std::to_string(index) + " is stamped " +
-      fixed(packets[index].timestamp(), 6) + " s, before packet " +
-      std::to_string(index - 1) + " at " +
-      fixed(packets[index - 1].timestamp(), 6) +
-      " s; a capture must be in non-decreasing time order");
+  telescope::throw_out_of_order(index, packets[index].timestamp(),
+                                packets[index - 1].timestamp());
 }
 
 }  // namespace

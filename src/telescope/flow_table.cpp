@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 
 #include "common/sanitize.h"
+#include "common/strings.h"
 #include "obs/metrics.h"
 
 namespace dosm::telescope {
@@ -278,6 +281,11 @@ BackscatterDetector::BackscatterDetector(ClassifierThresholds thresholds,
           flow_timeout_s) {}
 
 void BackscatterDetector::on_packet(const net::PacketRecord& rec) {
+  // packets_seen_ is this packet's index in the capture fed so far.
+  const double ts = rec.timestamp();
+  if (ts < last_packet_ts_)
+    throw_out_of_order(packets_seen_, ts, last_packet_ts_);
+  last_packet_ts_ = ts;
   // Per-packet tallies stay in plain members; the obs counters are folded
   // once at finish() so the hottest loop in the codebase never touches an
   // atomic (the striped-counter fast path still costs a TLS load + fetch_add,
@@ -286,8 +294,7 @@ void BackscatterDetector::on_packet(const net::PacketRecord& rec) {
     ++packets_seen_;
     return;
   }
-  on_backscatter(rec.timestamp(), classify_backscatter(rec), rec.ip_len,
-                 rec.dst);
+  on_backscatter(ts, classify_backscatter(rec), rec.ip_len, rec.dst);
 }
 
 std::vector<TelescopeEvent> BackscatterDetector::finish() {
@@ -297,6 +304,14 @@ std::vector<TelescopeEvent> BackscatterDetector::finish() {
   metrics.backscatter_packets.add(backscatter_packets_);
   std::sort(events_.begin(), events_.end(), event_less);
   return std::exchange(events_, {});
+}
+
+void throw_out_of_order(std::uint64_t index, double ts, double previous_ts) {
+  throw std::invalid_argument(
+      "packet " + std::to_string(index) + " is stamped " + fixed(ts, 6) +
+      " s, before packet " + std::to_string(index - 1) + " at " +
+      fixed(previous_ts, 6) +
+      " s; a capture must be in non-decreasing time order");
 }
 
 }  // namespace dosm::telescope

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "common/time.h"
@@ -159,7 +160,8 @@ class BackscatterDetector {
                                double flow_timeout_s = 300.0);
 
   /// Processes one captured packet (non-backscatter packets are ignored but
-  /// counted).
+  /// counted). Throws std::invalid_argument, via throw_out_of_order, for a
+  /// packet stamped before the previous on_packet's.
   void on_packet(const net::PacketRecord& rec);
 
   /// Processes one packet the caller already classified: `info` is
@@ -195,6 +197,13 @@ class BackscatterDetector {
   std::uint64_t backscatter_packets_ = 0;
   std::uint64_t flows_filtered_ = 0;
   std::uint64_t events_emitted_ = 0;
+  double last_packet_ts_ = -std::numeric_limits<double>::infinity();
 };
+
+/// Rejects a capture whose packet `index`, stamped `ts`, precedes packet
+/// `index - 1`, stamped `previous_ts`: the std::invalid_argument that both
+/// the sequential and the parallel detector throw.
+[[noreturn]] void throw_out_of_order(std::uint64_t index, double ts,
+                                     double previous_ts);
 
 }  // namespace dosm::telescope

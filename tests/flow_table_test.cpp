@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -577,6 +578,34 @@ TEST(FlowTable, PulseTrainSplitIgnoresOtherTraffic) {
   expect_independent_of_other_traffic(pulses(victim, 6, 30, 320.0), 6u);
   // 30 s on, 250 s off: one long attack.
   expect_independent_of_other_traffic(pulses(victim, 6, 30, 250.0), 1u);
+}
+
+TEST(BackscatterDetector, RejectsOutOfOrderTimestamps) {
+  // ParallelDetect.RejectsOutOfOrderTimestamps' capture: victim A sends a
+  // SYN/ACK every 2 s for 2,000 s, and one packet from victim B, stamped
+  // 4.0e9 s, sits in the middle. Accepted, it split A into 501 + 500
+  // packets at the far-future sweep.
+  const Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);
+  BackscatterDetector detector;
+  try {
+    for (int i = 0; i <= 1000; ++i) {
+      detector.on_packet(backscatter_from(a, 1000.0 + 2.0 * i));
+      if (i == 500) detector.on_packet(backscatter_from(b, 4.0e9));
+    }
+    ADD_FAILURE() << "an out-of-order capture was accepted";
+  } catch (const std::invalid_argument& e) {
+    // Packet 501 is B; packet 502, A again at 2002 s, steps back.
+    EXPECT_NE(std::string(e.what()).find("packet 502 is stamped 2002.000000 s, "
+                                         "before packet 501 at "
+                                         "4000000000.000000 s"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(detector.packets_seen(), 502u);
+  // Equal stamps are in order.
+  BackscatterDetector ties;
+  for (int i = 0; i < 3; ++i) ties.on_packet(backscatter_from(a, 1000.0));
+  EXPECT_EQ(ties.packets_seen(), 3u);
 }
 
 }  // namespace

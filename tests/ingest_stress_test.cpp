@@ -1,8 +1,9 @@
 // Concurrency stress for the ingest SPSC ring, meant to run under TSan
 // (DOSMETER_SANITIZE=thread in CI). A capacity-2 ring forces both the
 // producer-full and consumer-empty wait paths; assertions check strict FIFO
-// order and zero loss. A second test drives the full run_ingest pipeline so
-// TSan sees the real capture-thread / consumer-thread interleaving.
+// order and zero loss. Two more drive the full pipeline, through run_ingest
+// and read_packets, so TSan sees the real capture-thread / consumer-thread
+// interleaving.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -73,14 +74,10 @@ TEST(IngestStress, TryApiInterleavesWithBlockingSide) {
   EXPECT_EQ(sum, kItems * (kItems - 1) / 2);
 }
 
-TEST(IngestStress, RunIngestUnderContention) {
-  // End-to-end: capture thread slices batches and pushes through a tiny
-  // ring while this thread decodes. TSan validates the handoff; the counts
-  // validate that no batch was lost or reordered.
+std::string make_pcap(int packets) {
   std::ostringstream out(std::ios::binary);
   net::PcapWriter writer(out);
-  constexpr int kPackets = 20000;
-  for (int i = 0; i < kPackets; ++i) {
+  for (int i = 0; i < packets; ++i) {
     net::PacketRecord rec;
     rec.ts_sec = 1425168000 + i / 100;
     rec.ts_usec = static_cast<std::uint32_t>(i % 100) * 10000;
@@ -92,8 +89,16 @@ TEST(IngestStress, RunIngestUnderContention) {
     rec.tcp_flags = net::tcp_flags::kSyn | net::tcp_flags::kAck;
     writer.write_packet(rec);
   }
-  const std::string pcap = out.str();
+  return out.str();
+}
 
+constexpr int kPackets = 20000;
+
+TEST(IngestStress, RunIngestUnderContention) {
+  // End-to-end: capture thread slices batches and pushes through a tiny
+  // ring while this thread decodes. TSan validates the handoff; the counts
+  // validate that no batch was lost or reordered.
+  const std::string pcap = make_pcap(kPackets);
   IngestOptions options;
   options.batch_frames = 8;
   options.ring_capacity = 2;
@@ -111,6 +116,32 @@ TEST(IngestStress, RunIngestUnderContention) {
       });
   EXPECT_EQ(seen, static_cast<std::uint64_t>(kPackets));
   EXPECT_EQ(stats.packets, static_cast<std::uint64_t>(kPackets));
+}
+
+TEST(IngestStress, ReadPacketsUnderContention) {
+  // read_packets decodes every one-frame batch straight into its reserved
+  // vector while the capture thread refills a two-slot ring.
+  const std::string pcap = make_pcap(kPackets);
+  IngestOptions options;
+  options.batch_frames = 1;
+  options.ring_capacity = 2;
+  options.read_chunk_bytes = 4096;
+  std::istringstream in(pcap, std::ios::binary);
+  const auto packets = ingest::read_packets(in, options);
+
+  std::istringstream seq_in(pcap, std::ios::binary);
+  net::PcapReader reader(seq_in);
+  std::size_t i = 0;
+  while (auto rec = reader.next_packet()) {
+    ASSERT_LT(i, packets.size());
+    ASSERT_EQ(packets[i].ts_sec, rec->ts_sec) << "packet " << i;
+    ASSERT_EQ(packets[i].ts_usec, rec->ts_usec) << "packet " << i;
+    ASSERT_EQ(packets[i].dst, rec->dst) << "packet " << i;
+    ASSERT_EQ(packets[i].dst_port, rec->dst_port) << "packet " << i;
+    ++i;
+  }
+  EXPECT_EQ(i, packets.size());
+  EXPECT_EQ(i, static_cast<std::size_t>(kPackets));
 }
 
 }  // namespace

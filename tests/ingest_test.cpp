@@ -2,11 +2,14 @@
 // (packets and TelescopeEvents, parameterized over batch size x ring
 // capacity), the ingest-edge bugfix regressions (mid-stream I/O errors,
 // snaplen truncation, VLAN tags, zero-frame batches), decode_batch's
-// append growth, and skip accounting.
+// append growth, read_packets' reservation from the stream's size hint,
+// and skip accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -429,6 +432,10 @@ TEST(IngestErrors, BatchedReaderThrowsOnMidCaptureStreamError) {
   ASSERT_LT(seen.size(), expected.size());
   for (std::size_t i = 0; i < seen.size(); ++i)
     ASSERT_EQ(record_key(seen[i]), record_key(expected[i]));
+  // read_packets runs the same pipeline, so it rethrows the error too.
+  FailingStreamBuf again(pcap, pcap.size() - 30);
+  std::istream in_again(&again);
+  EXPECT_THROW(ingest::read_packets(in_again, options), std::runtime_error);
 }
 
 TEST(IngestErrors, ZeroBatchFramesIsRejected) {
@@ -444,6 +451,98 @@ TEST(IngestErrors, ZeroBatchFramesIsRejected) {
   EXPECT_TRUE(seen.empty());
   std::istringstream again(pcap, std::ios::binary);
   EXPECT_THROW(ingest::read_packets(again, options), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// read_packets' reservation from the stream's size hint
+// ---------------------------------------------------------------------------
+
+/// Every kept packet consumes a 16-byte record header and a 20-byte IPv4
+/// header, so read_packets reserves a stream's size / 36 records.
+constexpr std::size_t kMinKeptRecordBytes = 36;
+
+TEST(ReadPackets, ReservesFromStringStreamSize) {
+  const std::string pcap = to_pcap(make_capture(41, 3000));
+  std::istringstream in(pcap, std::ios::binary);
+  const auto packets = ingest::read_packets(in);
+  expect_same_packets(packets, sequential_packets(pcap), "istringstream");
+  // One reservation, never regrown: a truthful hint bounds the packets.
+  EXPECT_EQ(packets.capacity(), pcap.size() / kMinKeptRecordBytes);
+}
+
+TEST(ReadPackets, ReservesFromFileSizeBeforeTheHeaderIsRead) {
+  // After the global header an ifstream reports only its filled buffer
+  // (~8 KB, ~226 records); before it, the whole file.
+  const std::string pcap = to_pcap(make_capture(43, 3000));
+  ASSERT_GT(pcap.size(), 64u * 1024);
+  const auto path =
+      std::filesystem::temp_directory_path() / "dosm_ingest_hint.pcap";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(pcap.data(), static_cast<std::streamsize>(pcap.size()));
+  }
+  std::vector<PacketRecord> packets;
+  {
+    std::ifstream in(path, std::ios::binary);
+    packets = ingest::read_packets(in);
+  }
+  std::filesystem::remove(path);
+  expect_same_packets(packets, sequential_packets(pcap), "ifstream");
+  EXPECT_EQ(packets.capacity(), pcap.size() / kMinKeptRecordBytes);
+}
+
+/// Serves `data` through underflow, `window` bytes of get area at a time,
+/// and answers showmanyc() with `claimed`.
+class HintStreamBuf : public std::streambuf {
+ public:
+  HintStreamBuf(std::string data, std::size_t window, std::streamsize claimed)
+      : data_(std::move(data)), window_(window), claimed_(claimed) {}
+
+ protected:
+  std::streamsize showmanyc() override { return claimed_; }
+  int_type underflow() override {
+    if (next_ >= data_.size()) return traits_type::eof();
+    char* begin = data_.data() + next_;
+    next_ = std::min(data_.size(), next_ + window_);
+    setg(begin, begin, data_.data() + next_);
+    return traits_type::to_int_type(*begin);
+  }
+
+ private:
+  std::string data_;
+  std::size_t window_;
+  std::streamsize claimed_;
+  std::size_t next_ = 0;
+};
+
+TEST(ReadPackets, UnhelpfulOrLyingHintsReadTheSamePackets) {
+  const std::string pcap = to_pcap(make_capture(47, 2000));
+  const auto expected = sequential_packets(pcap);
+  IngestOptions options;
+  options.batch_frames = 64;
+  {
+    HintStreamBuf buf(pcap, 4096, -1);  // no hint: grows geometrically
+    std::istream in(&buf);
+    expect_same_packets(ingest::read_packets(in, options), expected,
+                        "showmanyc -1");
+  }
+  {
+    HintStreamBuf buf(pcap, 100, 0);
+    std::istream in(&buf);
+    in.peek();  // exposes the first 100 bytes: in_avail() is 100
+    ASSERT_EQ(buf.in_avail(), 100);
+    expect_same_packets(ingest::read_packets(in, options), expected,
+                        "100-byte get area");
+  }
+  {
+    // A hint of 2^50 bytes would ask for 3e13 records; the reservation is
+    // capped, so the call reads the capture instead of throwing bad_alloc.
+    HintStreamBuf buf(pcap, 4096, std::streamsize{1} << 50);
+    std::istream in(&buf);
+    const auto packets = ingest::read_packets(in, options);
+    expect_same_packets(packets, expected, "claims 2^50 bytes");
+    EXPECT_EQ(packets.capacity(), std::size_t{1} << 22);
+  }
 }
 
 // ---------------------------------------------------------------------------

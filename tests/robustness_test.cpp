@@ -4,7 +4,9 @@
 // telescope sees every kind of garbage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/rng.h"
 #include "net/pcap.h"
@@ -107,6 +109,17 @@ TEST(Robustness, MutatedPacketsThroughFullPipeline) {
       records = decode_pcap(corrupted);
     } catch (const std::runtime_error&) {
       continue;
+    }
+    // A flipped timestamp byte can step the capture back in time: the
+    // detector rejects that capture, and must survive it in time order.
+    const auto earlier = [](const PacketRecord& a, const PacketRecord& b) {
+      return a.timestamp() < b.timestamp();
+    };
+    if (!std::is_sorted(records.begin(), records.end(), earlier)) {
+      telescope::Pipeline rejecting;
+      rejecting.emplace_plugin<telescope::RsdosPlugin>();
+      EXPECT_THROW(rejecting.replay(records), std::invalid_argument);
+      std::stable_sort(records.begin(), records.end(), earlier);
     }
     telescope::Pipeline pipeline;
     pipeline.emplace_plugin<telescope::RsdosPlugin>();
