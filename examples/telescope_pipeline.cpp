@@ -1,10 +1,11 @@
-// Packet-level telescope pipeline demo — the Corsaro-plugin use case.
+// Packet-level telescope demo: pcap bytes in, RS-DoS attack events out.
 //
 // Synthesizes one hour of /8 darknet traffic (three ground-truth attacks
 // plus scan/misconfiguration noise), writes it through our pcap writer,
 // reads it back through the batched ingest front end (src/ingest), and
-// replays it through the RS-DoS plugin pipeline, printing the inferred
-// attack events.
+// runs the Moore et al. backscatter detector over it, printing the
+// inferred attack events. These are the calls `dosmeter detect --pcap`
+// makes.
 //
 //   $ ./telescope_pipeline
 #include <iostream>
@@ -12,10 +13,9 @@
 
 #include "common/strings.h"
 #include "common/time.h"
+#include "ingest/pipeline.h"
 #include "net/pcap.h"
-#include "telescope/flowtuple.h"
-#include "telescope/geo_plugin.h"
-#include "telescope/pipeline.h"
+#include "parallel/detect.h"
 #include "telescope/synthesizer.h"
 
 int main() {
@@ -66,43 +66,23 @@ int main() {
   std::cout << "Wrote " << writer.frames_written() << " pcap frames ("
             << pcap.str().size() << " bytes)\n";
 
-  // The full Corsaro-style chain: traffic stats, flowtuple aggregation,
-  // geo/ASN tagging, and the RS-DoS detector, side by side.
-  meta::GeoDatabase geo;
-  geo.add(net::Prefix::parse("93.0.0.0/8"), meta::CountryCode("US"));
-  geo.add(net::Prefix::parse("162.0.0.0/8"), meta::CountryCode("DE"));
-  geo.add(net::Prefix::parse("198.0.0.0/8"), meta::CountryCode("FR"));
-  meta::PrefixToAsMap pfx2as;
-  pfx2as.announce(net::Prefix::parse("93.184.0.0/16"), 15133);
-  pfx2as.announce(net::Prefix::parse("162.254.0.0/16"), 32590);
-  pfx2as.announce(net::Prefix::parse("198.41.0.0/16"), 13335);
+  // The batched front end (capture thread -> SPSC ring -> decode) yields
+  // the packet sequence the sequential PcapReader would; the sharded
+  // detector returns the sequential detector's events at any thread count.
+  const auto captured = ingest::read_packets(pcap);
+  parallel::ParallelBackscatterDetector detector({2, 0});
+  const auto events = detector.detect(captured);
+  const auto& stats = detector.stats();
 
-  telescope::Pipeline pipeline;
-  auto& stats = pipeline.emplace_plugin<telescope::TrafficStatsPlugin>();
-  auto& flowtuple = pipeline.emplace_plugin<telescope::FlowTuplePlugin>();
-  auto& geotag = pipeline.emplace_plugin<telescope::GeoTaggingPlugin>(geo, pfx2as);
-  auto& rsdos = pipeline.emplace_plugin<telescope::RsdosPlugin>();
-  // The batched front end (capture thread -> SPSC ring -> decode); plugins
-  // see the identical packet sequence the sequential PcapReader would give.
-  pipeline.replay(pcap);
-  pipeline.finish();
-
-  std::cout << "\nPipeline: " << stats.total_packets() << " packets, "
-            << stats.backscatter_packets() << " backscatter ("
-            << percent(static_cast<double>(stats.backscatter_packets()) /
-                           static_cast<double>(stats.total_packets()),
+  std::cout << "\nDetector: " << stats.packets_seen << " packets, "
+            << stats.backscatter_packets << " backscatter ("
+            << percent(static_cast<double>(stats.backscatter_packets) /
+                           static_cast<double>(stats.packets_seen),
                        1)
             << ")\n";
-  std::cout << "FlowTuple: " << flowtuple.intervals().size()
-            << " one-minute intervals; tuple cardinality ~= packet count "
-               "(the random-spoofing signature)\n";
-  std::cout << "Geo tagging: ";
-  for (const auto& [country, count] : geotag.country_ranking())
-    std::cout << country.to_string() << "=" << count << " ";
-  std::cout << "\n";
-  std::cout << "Inferred " << rsdos.events().size()
+  std::cout << "Inferred " << events.size()
             << " randomly-spoofed attack events:\n";
-  for (const auto& event : rsdos.events()) {
+  for (const auto& event : events) {
     std::cout << "  victim " << event.victim.to_string() << "  proto "
               << int(event.attack_proto) << "  port " << event.top_port
               << "  packets " << event.packets << "  duration "

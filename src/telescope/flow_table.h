@@ -151,9 +151,10 @@ class FlowTable {
   static constexpr std::size_t kMaxTrackedPorts = 64;
 };
 
-/// Full detector: backscatter filter -> flow table -> thresholds. This is
-/// the "Corsaro RSDoS plugin" equivalent; feed it decoded packets (from a
-/// pcap replay or the synthesizer), then finish() returns the attack events.
+/// Full detector: backscatter filter -> flow table -> thresholds, the
+/// Moore et al. RS-DoS method (paper §3.1.1). Feed it decoded packets (from
+/// a pcap replay or the synthesizer), then finish() returns the attack
+/// events. parallel::ParallelBackscatterDetector runs one per victim shard.
 class BackscatterDetector {
  public:
   explicit BackscatterDetector(ClassifierThresholds thresholds = {},

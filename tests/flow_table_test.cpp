@@ -3,11 +3,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "net/pcap.h"
 #include "parallel/detect.h"
 #include "telescope/flow_table.h"
 
@@ -578,6 +580,97 @@ TEST(FlowTable, PulseTrainSplitIgnoresOtherTraffic) {
   expect_independent_of_other_traffic(pulses(victim, 6, 30, 320.0), 6u);
   // 30 s on, 250 s off: one long attack.
   expect_independent_of_other_traffic(pulses(victim, 6, 30, 250.0), 1u);
+}
+
+TEST(Detector, DetectsAttackFromPackets) {
+  // A dense flood: 300 packets over 120 seconds.
+  BackscatterDetector detector;
+  for (int i = 0; i < 300; ++i)
+    detector.on_packet(backscatter_from(Ipv4Addr(7, 7, 7, 7), 1000.0 + i * 0.4));
+  const auto events = detector.finish();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].victim, Ipv4Addr(7, 7, 7, 7));
+  EXPECT_EQ(events[0].packets, 300u);
+  EXPECT_EQ(events[0].top_port, 80);
+  EXPECT_GE(events[0].max_pps, 2.0);
+}
+
+TEST(Detector, ReplaysFromPcapStream) {
+  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
+  net::PcapWriter writer(stream);
+  for (int i = 0; i < 100; ++i)
+    writer.write_packet(backscatter_from(Ipv4Addr(8, 8, 8, 8), 2000.0 + i));
+  net::PcapReader reader(stream);
+  BackscatterDetector detector;
+  while (auto rec = reader.next_packet()) detector.on_packet(*rec);
+  const auto events = detector.finish();
+  EXPECT_EQ(detector.packets_seen(), 100u);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].packets, 100u);
+  EXPECT_NEAR(events[0].duration(), 99.0, 0.01);
+}
+
+TEST(Detector, CustomThresholdsAreHonored) {
+  ClassifierThresholds strict;
+  strict.min_packets = 1000;
+  BackscatterDetector detector(strict);
+  for (int i = 0; i < 300; ++i)
+    detector.on_packet(backscatter_from(Ipv4Addr(7, 7, 7, 7), 1000.0 + i * 0.4));
+  EXPECT_EQ(detector.finish().size(), 0u);
+  EXPECT_EQ(detector.flows_filtered(), 1u);
+}
+
+// Regression: the sequential detector once returned end-of-trace events in
+// the flow table's flush order, while the sharded detector sorted, so the
+// two paths disagreed on byte order. BackscatterDetector::finish() owns the
+// order: it returns (start, victim)-sorted events, for inputs whose raw
+// close order is not sorted.
+TEST(Detector, EventsAreCanonicallySortedAfterFinish) {
+  ClassifierThresholds lax;
+  lax.min_packets = 1;
+  lax.min_duration_s = 0.0;
+  lax.min_max_pps = 0.0;
+  const auto victim = [](int i) {
+    return Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(i));
+  };
+  // The flow table closes flows in the order they opened, except where a
+  // flow reopens in its victim's old slot. First, 16 flows with the same
+  // start timestamp open in descending address order, so the canonical
+  // order reverses the open order. Second, 16 victims open at 100 + i s; a
+  // packet of victim 16 at 380 s runs a sweep that keeps every flow, and
+  // victims 1..15 return 301.5 s after their first packet, before the next
+  // sweep may run, so each splits and reopens in its old slot with a later
+  // start than victim 16's.
+  std::vector<std::vector<net::PacketRecord>> inputs(2);
+  std::vector<std::size_t> closed = {16, 31};
+  for (int i = 16; i >= 1; --i) inputs[0].push_back(backscatter_from(victim(i), 100.0));
+  for (int i = 16; i >= 1; --i) inputs[0].push_back(backscatter_from(victim(i), 200.0));
+  for (int i = 1; i <= 16; ++i) inputs[1].push_back(backscatter_from(victim(i), 100.0 + i));
+  inputs[1].push_back(backscatter_from(victim(16), 380.0));
+  for (int i = 1; i <= 15; ++i) inputs[1].push_back(backscatter_from(victim(i), 401.5 + i));
+
+  const auto canonical = [](const TelescopeEvent& a, const TelescopeEvent& b) {
+    return std::tie(a.start, a.victim) < std::tie(b.start, b.victim);
+  };
+  for (std::size_t input = 0; input < inputs.size(); ++input) {
+    SCOPED_TRACE("input " + std::to_string(input));
+    const auto& packets = inputs[input];
+
+    std::vector<TelescopeEvent> flushed;
+    FlowTable table([&](const TelescopeEvent& e) { flushed.push_back(e); });
+    for (const auto& rec : packets)
+      table.add(rec.timestamp(), classify_backscatter(rec), rec.ip_len, rec.dst);
+    table.flush();
+    ASSERT_EQ(flushed.size(), closed[input]);
+    ASSERT_FALSE(std::is_sorted(flushed.begin(), flushed.end(), canonical))
+        << "the close order is already canonical; the input proves nothing";
+
+    BackscatterDetector detector(lax);
+    for (const auto& rec : packets) detector.on_packet(rec);
+    const auto events = detector.finish();
+    ASSERT_EQ(events.size(), closed[input]);
+    EXPECT_TRUE(std::is_sorted(events.begin(), events.end(), canonical));
+  }
 }
 
 TEST(BackscatterDetector, RejectsOutOfOrderTimestamps) {

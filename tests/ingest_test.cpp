@@ -24,7 +24,7 @@
 #include "ingest/ring.h"
 #include "net/pcap.h"
 #include "obs/metrics.h"
-#include "telescope/pipeline.h"
+#include "telescope/flow_table.h"
 
 namespace dosm {
 namespace {
@@ -365,28 +365,32 @@ TEST_P(IngestIdentity, TelescopeEventsMatchSequential) {
   const auto [batch_frames, ring_capacity] = GetParam();
   const std::string pcap = to_pcap(make_capture(13, 4000));
 
+  // One detector fed packet by packet from the sequential reader, one
+  // from run_ingest's sink.
   std::istringstream seq_in(pcap, std::ios::binary);
   PcapReader reader(seq_in);
-  telescope::Pipeline seq_pipeline;
-  auto& seq_rsdos = seq_pipeline.emplace_plugin<telescope::RsdosPlugin>();
-  const std::uint64_t seq_count = seq_pipeline.replay(reader);
-  seq_pipeline.finish();
+  telescope::BackscatterDetector seq_detector;
+  while (auto rec = reader.next_packet()) seq_detector.on_packet(*rec);
+  const auto seq_events = seq_detector.finish();
 
   IngestOptions options;
   options.batch_frames = batch_frames;
   options.ring_capacity = ring_capacity;
   std::istringstream bat_in(pcap, std::ios::binary);
-  telescope::Pipeline bat_pipeline;
-  auto& bat_rsdos = bat_pipeline.emplace_plugin<telescope::RsdosPlugin>();
-  const std::uint64_t bat_count = bat_pipeline.replay(bat_in, options);
-  bat_pipeline.finish();
+  telescope::BackscatterDetector bat_detector;
+  const auto stats = ingest::run_ingest(
+      bat_in, options, [&](std::span<const PacketRecord> records) {
+        for (const PacketRecord& rec : records) bat_detector.on_packet(rec);
+      });
+  const auto bat_events = bat_detector.finish();
 
-  EXPECT_EQ(bat_count, seq_count);
-  ASSERT_FALSE(seq_rsdos.events().empty())
+  EXPECT_EQ(stats.packets, seq_detector.packets_seen());
+  EXPECT_EQ(bat_detector.packets_seen(), seq_detector.packets_seen());
+  ASSERT_FALSE(seq_events.empty())
       << "fixture too sparse to exercise the detector";
-  ASSERT_EQ(bat_rsdos.events().size(), seq_rsdos.events().size());
-  for (std::size_t i = 0; i < seq_rsdos.events().size(); ++i)
-    ASSERT_EQ(event_key(bat_rsdos.events()[i]), event_key(seq_rsdos.events()[i]))
+  ASSERT_EQ(bat_events.size(), seq_events.size());
+  for (std::size_t i = 0; i < seq_events.size(); ++i)
+    ASSERT_EQ(event_key(bat_events[i]), event_key(seq_events[i]))
         << "event " << i;
 }
 

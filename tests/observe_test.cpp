@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/observe.h"
-#include "telescope/pipeline.h"
+#include "telescope/flow_table.h"
 #include "telescope/synthesizer.h"
 
 namespace dosm::sim {
@@ -159,11 +159,10 @@ TEST_P(TierAgreement, AnalyticMatchesPacketLevel) {
   spec.victim_pps = victim_pps;
   spec.ports = {80};
   const auto packets = synthesizer.synthesize({&spec, 1}, 0.0, 5000.0);
-  telescope::Pipeline pipeline;
-  auto& rsdos = pipeline.emplace_plugin<telescope::RsdosPlugin>();
-  pipeline.replay(packets);
-  pipeline.finish();
-  const bool packet_detected = !rsdos.events().empty();
+  telescope::BackscatterDetector detector;
+  for (const auto& rec : packets) detector.on_packet(rec);
+  const auto events = detector.finish();
+  const bool packet_detected = !events.empty();
 
   if (victim_pps >= 2000.0) {
     EXPECT_EQ(analytic_detections, kReps);
@@ -172,7 +171,7 @@ TEST_P(TierAgreement, AnalyticMatchesPacketLevel) {
     Rng rng2(44);
     const auto analytic = observe_telescope(direct_attack(victim_pps, duration), rng2);
     ASSERT_TRUE(analytic.has_value());
-    EXPECT_NEAR(analytic->max_pps, rsdos.events()[0].max_pps,
+    EXPECT_NEAR(analytic->max_pps, events[0].max_pps,
                 std::max(1.0, 0.5 * analytic->max_pps));
   } else if (victim_pps <= 30.0) {
     EXPECT_EQ(analytic_detections, 0);

@@ -5,23 +5,30 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.h"
+#include "ingest/pipeline.h"
 #include "net/pcap.h"
-#include "telescope/pipeline.h"
+#include "parallel/detect.h"
+#include "telescope/flow_table.h"
 
 namespace dosm::net {
 namespace {
 
-std::vector<std::uint8_t> valid_pcap_buffer(int packets) {
+/// One SYN/ACK per second, from `victims` victims in turn.
+std::vector<std::uint8_t> valid_pcap_buffer(int packets, int victims = 256) {
   std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
   PcapWriter writer(stream);
   for (int i = 0; i < packets; ++i) {
     PacketRecord rec;
     rec.ts_sec = 1000 + i;
-    rec.src = Ipv4Addr(1, 2, 3, static_cast<std::uint8_t>(i));
+    rec.src = Ipv4Addr(1, 2, 3, static_cast<std::uint8_t>(i % victims));
     rec.dst = Ipv4Addr(44, 0, 0, 1);
     rec.proto = static_cast<std::uint8_t>(IpProto::kTcp);
     rec.src_port = 80;
@@ -94,39 +101,93 @@ TEST(Robustness, DecodePacketOnRandomBuffers) {
   SUCCEED();
 }
 
+auto record_key(const PacketRecord& rec) {
+  return std::make_tuple(rec.ts_sec, rec.ts_usec, rec.src.value(),
+                         rec.dst.value(), rec.proto, rec.ip_len, rec.ttl,
+                         rec.src_port, rec.dst_port, rec.tcp_flags,
+                         rec.icmp_type, rec.icmp_code, rec.has_quoted,
+                         rec.quoted_proto, rec.quoted_src.value(),
+                         rec.quoted_dst.value(), rec.quoted_src_port,
+                         rec.quoted_dst_port);
+}
+
+auto event_key(const telescope::TelescopeEvent& e) {
+  return std::make_tuple(e.victim.value(), e.start, e.end, e.packets, e.bytes,
+                         e.unique_sources, e.num_ports, e.top_port,
+                         e.attack_proto, e.max_pps);
+}
+
 TEST(Robustness, MutatedPacketsThroughFullPipeline) {
-  // The Moore pipeline must survive whatever the decoder lets through.
-  const auto pristine = valid_pcap_buffer(200);
+  // Each mutated capture goes through the path `dosmeter detect --pcap`
+  // runs (ingest::read_packets, then ParallelBackscatterDetector) and
+  // through its sequential references (decode_pcap, BackscatterDetector).
+  // All must survive whatever the decoder lets through, and agree on the
+  // records and events or reject the same captures. Two victims at 0.5 pps
+  // each for 200 s just pass the Moore thresholds, so flipped bytes move
+  // flows across them.
+  const auto pristine = valid_pcap_buffer(200, 2);
   Rng rng(99);
-  for (int trial = 0; trial < 50; ++trial) {
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
     auto corrupted = pristine;
-    for (int f = 0; f < 20; ++f) {
+    const int flips = 1 + static_cast<int>(rng.next_below(20));
+    for (int f = 0; f < flips; ++f) {
       const auto pos = rng.next_below(corrupted.size());
       corrupted[pos] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
     }
-    std::vector<PacketRecord> records;
+    std::optional<std::vector<PacketRecord>> records;
     try {
       records = decode_pcap(corrupted);
     } catch (const std::runtime_error&) {
-      continue;
     }
-    // A flipped timestamp byte can step the capture back in time: the
+    const std::string data(corrupted.begin(), corrupted.end());
+    for (const std::size_t batch_frames : {std::size_t{1}, std::size_t{4096}}) {
+      SCOPED_TRACE("batch_frames " + std::to_string(batch_frames));
+      ingest::IngestOptions options;
+      options.batch_frames = batch_frames;
+      options.read_chunk_bytes = 512;
+      std::istringstream in(data, std::ios::binary);
+      if (!records) {
+        EXPECT_THROW(ingest::read_packets(in, options), std::runtime_error);
+        continue;
+      }
+      const auto batched = ingest::read_packets(in, options);
+      ASSERT_EQ(batched.size(), records->size());
+      for (std::size_t i = 0; i < batched.size(); ++i)
+        ASSERT_EQ(record_key(batched[i]), record_key((*records)[i]))
+            << "record " << i;
+    }
+    if (!records) continue;
+
+    // A flipped timestamp byte can step the capture back in time: every
     // detector rejects that capture, and must survive it in time order.
     const auto earlier = [](const PacketRecord& a, const PacketRecord& b) {
       return a.timestamp() < b.timestamp();
     };
-    if (!std::is_sorted(records.begin(), records.end(), earlier)) {
-      telescope::Pipeline rejecting;
-      rejecting.emplace_plugin<telescope::RsdosPlugin>();
-      EXPECT_THROW(rejecting.replay(records), std::invalid_argument);
-      std::stable_sort(records.begin(), records.end(), earlier);
+    if (!std::is_sorted(records->begin(), records->end(), earlier)) {
+      telescope::BackscatterDetector rejecting;
+      EXPECT_THROW(
+          for (const auto& rec : *records) rejecting.on_packet(rec),
+          std::invalid_argument);
+      for (const int threads : {1, 3})
+        EXPECT_THROW(
+            parallel::ParallelBackscatterDetector({threads, 0}).detect(*records),
+            std::invalid_argument)
+            << threads << " threads";
+      std::stable_sort(records->begin(), records->end(), earlier);
     }
-    telescope::Pipeline pipeline;
-    pipeline.emplace_plugin<telescope::RsdosPlugin>();
-    pipeline.replay(records);
-    pipeline.finish();
+    telescope::BackscatterDetector sequential;
+    for (const auto& rec : *records) sequential.on_packet(rec);
+    const auto expected = sequential.finish();
+    for (const int threads : {1, 3}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      const auto events =
+          parallel::ParallelBackscatterDetector({threads, 0}).detect(*records);
+      ASSERT_EQ(events.size(), expected.size());
+      for (std::size_t i = 0; i < events.size(); ++i)
+        EXPECT_EQ(event_key(events[i]), event_key(expected[i])) << "event " << i;
+    }
   }
-  SUCCEED();
 }
 
 TEST(Robustness, IcmpQuotedHeaderEdgeCases) {

@@ -2,7 +2,7 @@
 // the detector recovers the ground truth from.
 #include <gtest/gtest.h>
 
-#include "telescope/pipeline.h"
+#include "telescope/flow_table.h"
 #include "telescope/synthesizer.h"
 
 namespace dosm::telescope {
@@ -120,12 +120,10 @@ TEST(Synthesizer, NoiseIsNotDetectedAsAttacks) {
   noise.benign_icmp_pps = 10.0;
   const auto packets = synthesizer.synthesize({}, 0.0, 1200.0, noise);
   EXPECT_GT(packets.size(), 50000u);
-  Pipeline pipeline;
-  auto& rsdos = pipeline.emplace_plugin<RsdosPlugin>();
-  pipeline.replay(packets);
-  pipeline.finish();
-  EXPECT_EQ(rsdos.events().size(), 0u);
-  EXPECT_EQ(rsdos.detector().backscatter_packets(), 0u);
+  BackscatterDetector detector;
+  for (const auto& rec : packets) detector.on_packet(rec);
+  EXPECT_EQ(detector.finish().size(), 0u);
+  EXPECT_EQ(detector.backscatter_packets(), 0u);
 }
 
 TEST(Synthesizer, EndToEndRecoveryOfGroundTruth) {
@@ -152,12 +150,11 @@ TEST(Synthesizer, EndToEndRecoveryOfGroundTruth) {
               .ports = {}};
   const auto packets = synthesizer.synthesize(
       specs, 0.0, 3600.0, {.scan_pps = 20.0, .misconfig_pps = 5.0});
-  Pipeline pipeline;
-  auto& rsdos = pipeline.emplace_plugin<RsdosPlugin>();
-  pipeline.replay(packets);
-  pipeline.finish();
-  ASSERT_EQ(rsdos.events().size(), 3u);
-  for (const auto& event : rsdos.events()) {
+  BackscatterDetector detector;
+  for (const auto& rec : packets) detector.on_packet(rec);
+  const auto events = detector.finish();
+  ASSERT_EQ(events.size(), 3u);
+  for (const auto& event : events) {
     bool matched = false;
     for (const auto& spec : specs) {
       if (event.victim != spec.victim) continue;
