@@ -11,9 +11,9 @@ int main() {
 
   const auto& snapshot = bench::shared_snapshot();
   EmpiricalDistribution dist;
-  for (const auto row : snapshot.match_rows(
-           query::Query{}.from_source(core::SourceFilter::kTelescope)))
-    dist.add(snapshot.intensity_at(row));
+  for (const auto& row : snapshot.event_rows(snapshot.match_rows(
+           query::Query{}.from_source(core::SourceFilter::kTelescope))))
+    dist.add(row.intensity);
 
   TextTable table({"pps (max, at telescope)", "x256 at victim", "CDF"});
   for (const double x : {0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1000.0, 10000.0, 100000.0}) {

@@ -1,21 +1,23 @@
 // Secondary indexes over an EventFrame.
 //
-// Three families, all built in one pass over the sorted frame:
+// Two kinds of index:
 //
-//   time    — rows are sorted by start, so a time-range filter is two
-//             binary searches yielding a contiguous row range, and each
-//             window day maps to a precomputed [begin, end) row range.
-//   hash    — equality postings (sorted row-id vectors) keyed by target
-//             /32, target /24, origin ASN, country, and top port.
+//   time     — rows are sorted by start, so a time-range filter is two
+//              binary searches yielding a contiguous row range. Nothing is
+//              built for it.
+//   postings — equality postings keyed by target /32, target /24, origin
+//              ASN, country, and top port, built once per sealed or loaded
+//              segment. Each key family is three flat arrays: ascending
+//              distinct keys, offsets, and the row ids grouped by key. A
+//              lookup is a binary search over the keys.
 //
-// The postings vectors are ascending by construction (rows are visited in
-// order), which the executor exploits to clip them against a time range
-// with two more binary searches instead of per-row checks.
+// Within a key the row ids are ascending, which the executor exploits to
+// clip them against a time range with two more binary searches instead of
+// per-row checks.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "query/event_frame.h"
@@ -41,32 +43,26 @@ class FrameIndex {
   /// start-sorted.
   RowRange time_range(double t0, double t1) const;
 
-  /// Rows whose start falls on the given window day (0-based offset).
-  RowRange day_range(int day) const;
-
-  /// Equality postings; empty span when the key was never seen.
+  /// Equality postings, ascending; empty span when the key was never seen.
   std::span<const std::uint32_t> by_target(std::uint32_t addr) const;
   std::span<const std::uint32_t> by_slash24(std::uint32_t network) const;
   std::span<const std::uint32_t> by_asn(meta::Asn asn) const;
   std::span<const std::uint32_t> by_country(PackedCountry country) const;
   std::span<const std::uint32_t> by_port(std::uint16_t port) const;
 
-  std::size_t num_targets() const { return target_.size(); }
-  std::size_t num_slash24() const { return slash24_.size(); }
-  std::size_t num_asns() const { return asn_.size(); }
-  std::size_t num_countries() const { return country_.size(); }
-  std::size_t num_ports() const { return port_.size(); }
-
  private:
-  using Postings = std::unordered_map<std::uint32_t, std::vector<std::uint32_t>>;
+  /// One key family: the rows of keys[i] are rows[offsets[i], offsets[i+1]).
+  struct Postings {
+    std::vector<std::uint32_t> keys;
+    std::vector<std::uint32_t> offsets;
+    std::vector<std::uint32_t> rows;
 
-  static std::span<const std::uint32_t> find(const Postings& postings,
-                                             std::uint32_t key);
+    /// Fills the family from (key << 32 | row) words sorted by key.
+    void build(std::span<const std::uint64_t> sorted);
+    std::span<const std::uint32_t> find(std::uint32_t key) const;
+  };
 
   const EventFrame* frame_ = nullptr;
-  // day -> [begin, end) row range; out-of-window rows sort to the edges and
-  // belong to no day.
-  std::vector<RowRange> day_rows_;
   Postings target_;
   Postings slash24_;
   Postings asn_;

@@ -224,37 +224,27 @@ std::shared_ptr<const Snapshot> Snapshot::from_store(
   return build(store.window(), store.events(), ctx, version);
 }
 
-Snapshot::Located Snapshot::locate(std::uint32_t row) const {
-  const auto it = std::upper_bound(bases_.begin(), bases_.end(), row);
-  const auto index = static_cast<std::size_t>(it - bases_.begin()) - 1;
-  Located at{nullptr, nullptr, row - bases_[index]};
-  at.segment = &resolve(index, at.keep_alive);
-  return at;
-}
-
-double Snapshot::start_at(std::uint32_t row) const {
-  const Located at = locate(row);
-  return at.segment->frame().start()[at.row];
-}
-
-double Snapshot::intensity_at(std::uint32_t row) const {
-  const Located at = locate(row);
-  return at.segment->frame().intensity()[at.row];
-}
-
-net::Ipv4Addr Snapshot::target_at(std::uint32_t row) const {
-  const Located at = locate(row);
-  return at.segment->frame().target_at(at.row);
-}
-
-core::EventSource Snapshot::source_at(std::uint32_t row) const {
-  const Located at = locate(row);
-  return at.segment->frame().source_at(at.row);
-}
-
-std::uint16_t Snapshot::top_port_at(std::uint32_t row) const {
-  const Located at = locate(row);
-  return at.segment->frame().top_port()[at.row];
+std::vector<EventRow> Snapshot::event_rows(
+    std::span<const std::uint32_t> rows) const {
+  std::vector<EventRow> out;
+  out.reserve(rows.size());
+  std::shared_ptr<const FrameSegment> keep;
+  const FrameSegment* segment = nullptr;
+  std::size_t s = 0;
+  for (const std::uint32_t row : rows) {
+    if (segment == nullptr || row < bases_[s] ||
+        row - bases_[s] >= meta_[s].rows) {
+      const auto it = std::upper_bound(bases_.begin(), bases_.end(), row);
+      s = static_cast<std::size_t>(it - bases_.begin()) - 1;
+      segment = &resolve(s, keep);
+    }
+    const EventFrame& frame = segment->frame();
+    const std::uint32_t local = row - bases_[s];
+    out.push_back({frame.start()[local], frame.target_at(local),
+                   frame.source_at(local), frame.intensity()[local],
+                   frame.top_port()[local]});
+  }
+  return out;
 }
 
 QueryPlan Snapshot::plan_segment(const Query& query, const FrameSegment& seg) {

@@ -45,6 +45,15 @@
 
 namespace dosm::query {
 
+/// One row of an event listing (see Snapshot::event_rows).
+struct EventRow {
+  double start = 0.0;
+  net::Ipv4Addr target;
+  core::EventSource source = core::EventSource::kTelescope;
+  double intensity = 0.0;
+  std::uint16_t top_port = 0;
+};
+
 class Snapshot {
  public:
   /// Assembles a snapshot over already-sealed segments (must be in bucket
@@ -92,12 +101,11 @@ class Snapshot {
   /// Publication sequence number (monotone per QueryEngine).
   std::uint64_t version() const { return version_; }
 
-  // Field access by global row id (for event listings over match_rows()).
-  double start_at(std::uint32_t row) const;
-  double intensity_at(std::uint32_t row) const;
-  net::Ipv4Addr target_at(std::uint32_t row) const;
-  core::EventSource source_at(std::uint32_t row) const;
-  std::uint16_t top_port_at(std::uint32_t row) const;
+  /// The listed fields of the given global row ids (each < size(), e.g. a
+  /// prefix of match_rows()), in the given order. Each run of rows that
+  /// falls in one segment resolves that segment once, so a cold run costs
+  /// one fetch.
+  std::vector<EventRow> event_rows(std::span<const std::uint32_t> rows) const;
 
   /// The aggregate access path the executor would take, without running the
   /// query: per-segment candidate counts summed, the choice taken from the
@@ -141,13 +149,6 @@ class Snapshot {
       return start_min < t1 && start_max >= t0;
     }
   };
-
-  struct Located {
-    std::shared_ptr<const FrameSegment> keep_alive;  // set for cold slots
-    const FrameSegment* segment;
-    std::uint32_t row;  // local to the segment
-  };
-  Located locate(std::uint32_t row) const;
 
   /// Materializes slot s: resident pointer, or provider fetch for a cold
   /// slot (validated against the slot metadata). `keep` extends the cold

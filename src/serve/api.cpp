@@ -1,5 +1,6 @@
 #include "serve/api.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 
@@ -289,21 +290,21 @@ ApiResponse execute_query(const query::Snapshot& snapshot, const ApiCall& call,
       const auto rows = snapshot.match_rows(q, budget);
       w.key("total_rows").value(static_cast<std::uint64_t>(rows.size()));
       w.key("rows").begin_array();
-      for (std::size_t i = 0; i < rows.size() && i < call.k; ++i) {
-        const std::uint32_t row = rows[i];
+      const std::span<const std::uint32_t> listed(
+          rows.data(), std::min(rows.size(), call.k));
+      for (const auto& row : snapshot.event_rows(listed)) {
         w.begin_object()
             .key("start")
-            .value(snapshot.start_at(row))
+            .value(row.start)
             .key("target")
-            .value(snapshot.target_at(row).to_string())
+            .value(row.target.to_string())
             .key("source")
-            .value(snapshot.source_at(row) == core::EventSource::kTelescope
-                       ? "telescope"
-                       : "honeypot")
+            .value(row.source == core::EventSource::kTelescope ? "telescope"
+                                                               : "honeypot")
             .key("intensity")
-            .value(snapshot.intensity_at(row))
+            .value(row.intensity)
             .key("port")
-            .value(static_cast<std::uint64_t>(snapshot.top_port_at(row)))
+            .value(static_cast<std::uint64_t>(row.top_port))
             .end_object();
       }
       w.end_array();

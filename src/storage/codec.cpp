@@ -451,19 +451,41 @@ void ByteWriter::bytes(std::span<const std::uint8_t> data) {
 }
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
-  static const std::array<std::uint32_t, 256> kTable = [] {
-    std::array<std::uint32_t, 256> table{};
+  // Slice-by-8: table k maps a byte to its CRC contribution k bytes before
+  // the end of an 8-byte word, so one word costs eight independent lookups
+  // instead of eight dependent ones. Table 0 is the bytewise table.
+  static constexpr auto kTables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> tables{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k)
         c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      table[i] = c;
+      tables[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < 8; ++k)
+      for (std::size_t i = 0; i < 256; ++i)
+        tables[k][i] = (tables[k - 1][i] >> 8) ^
+                       tables[0][tables[k - 1][i] & 0xff];
+    return tables;
   }();
+  const auto le32 = [](const std::uint8_t* p) {
+    return static_cast<std::uint32_t>(p[0]) |
+           static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
+  };
   std::uint32_t crc = 0xffffffffu;
-  for (const std::uint8_t byte : bytes)
-    crc = kTable[(crc ^ byte) & 0xff] ^ (crc >> 8);
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = le32(p) ^ crc;
+    const std::uint32_t hi = le32(p + 4);
+    crc = kTables[7][lo & 0xff] ^ kTables[6][(lo >> 8) & 0xff] ^
+          kTables[5][(lo >> 16) & 0xff] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xff] ^ kTables[2][(hi >> 8) & 0xff] ^
+          kTables[1][(hi >> 16) & 0xff] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = kTables[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
   return crc ^ 0xffffffffu;
 }
 

@@ -33,9 +33,10 @@
 namespace dosm::storage {
 
 /// Estimated resident bytes of a decoded segment: 42 B/row of frame columns
-/// plus ~30 B/row of postings/index. An estimate is fine — the budget is a
-/// working-set knob, not an allocator — but it must be deterministic, so it
-/// is a pure function of the row count.
+/// plus ~30 B/row of postings (20 B/row of row ids, 8 B per distinct key of
+/// each family; a one-day segment's targets are nearly all distinct). An
+/// estimate is fine — the budget is a working-set knob, not an allocator —
+/// but it must be deterministic, so it is a pure function of the row count.
 inline constexpr std::size_t kDecodedBytesPerRow = 72;
 
 /// SegmentProvider over one archive: LRU-cached decodes plus zone-map

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
 #include <set>
 #include <string>
 #include <tuple>
@@ -327,6 +328,139 @@ TEST(QueryPlannerTest, PicksTheCheapestIndex) {
   EXPECT_EQ(snap->count(miss), 0u);
 }
 
+// ---------------------------------------------------------------------------
+// FrameIndex against a naive scan: every key of every family, absent keys,
+// and the key extremes, over empty, one-row and collision-heavy frames.
+// ---------------------------------------------------------------------------
+
+/// A frame with hand-picked key columns; starts ascend one second apart.
+EventFrame frame_of(const std::vector<std::uint32_t>& targets,
+                    const std::vector<meta::Asn>& asns,
+                    const std::vector<PackedCountry>& countries,
+                    const std::vector<std::uint16_t>& ports) {
+  const std::size_t n = targets.size();
+  FrameColumns columns;
+  for (std::size_t i = 0; i < n; ++i) {
+    columns.start.push_back(1.0e9 + static_cast<double>(i));
+    columns.end.push_back(1.0e9 + static_cast<double>(i) + 60.0);
+    columns.intensity.push_back(1.0);
+    columns.source.push_back(0);
+    columns.ip_proto.push_back(6);
+    columns.day.push_back(-1);
+  }
+  columns.target = targets;
+  columns.asn = asns;
+  columns.country = countries;
+  columns.top_port = ports;
+  return EventFrame::from_columns(StudyWindow{}, std::move(columns));
+}
+
+/// Rows whose key (under `key_of`) equals `key`, ascending.
+template <typename KeyOf>
+std::vector<std::uint32_t> scan_rows(std::size_t n, std::uint32_t key,
+                                     KeyOf key_of) {
+  std::vector<std::uint32_t> rows;
+  for (std::uint32_t row = 0; row < n; ++row)
+    if (key_of(row) == key) rows.push_back(row);
+  return rows;
+}
+
+std::vector<std::uint32_t> as_vector(std::span<const std::uint32_t> rows) {
+  return {rows.begin(), rows.end()};
+}
+
+void expect_index_matches_scan(const EventFrame& frame) {
+  const FrameIndex index(frame);
+  const std::size_t n = frame.size();
+  const auto target = frame.target();
+  const auto asn = frame.asn();
+  const auto country = frame.country();
+  const auto port = frame.top_port();
+  // Every present key, its neighbours, and both extremes.
+  std::set<std::uint32_t> probes = {0u, 1u, 0xffffu, 0x10000u, 0xffffff00u,
+                                    0xffffffffu};
+  for (std::size_t row = 0; row < n; ++row)
+    for (const std::uint32_t key :
+         {target[row], asn[row], static_cast<std::uint32_t>(country[row]),
+          static_cast<std::uint32_t>(port[row])}) {
+      probes.insert(key);
+      probes.insert(key + 1);
+      probes.insert(key - 1);
+    }
+  for (const std::uint32_t key : probes) {
+    EXPECT_EQ(as_vector(index.by_target(key)),
+              scan_rows(n, key, [&](auto r) { return target[r]; }))
+        << key;
+    EXPECT_EQ(as_vector(index.by_slash24(key)),
+              scan_rows(n, key & 0xffffff00u,
+                        [&](auto r) { return target[r] & 0xffffff00u; }))
+        << key;
+    EXPECT_EQ(as_vector(index.by_asn(key)),
+              scan_rows(n, key, [&](auto r) { return asn[r]; }))
+        << key;
+    if (key > 0xffffu) continue;  // country and port keys are 16-bit
+    const auto key16 = static_cast<std::uint16_t>(key);
+    EXPECT_EQ(as_vector(index.by_country(key16)),
+              scan_rows(n, key, [&](auto r) { return country[r]; }))
+        << key;
+    EXPECT_EQ(as_vector(index.by_port(key16)),
+              scan_rows(n, key, [&](auto r) { return port[r]; }))
+        << key;
+  }
+}
+
+TEST(FrameIndexTest, EmptyAndOneRowFrames) {
+  expect_index_matches_scan(frame_of({}, {}, {}, {}));
+  const FrameIndex empty(frame_of({}, {}, {}, {}));
+  EXPECT_TRUE(empty.by_target(0).empty());
+  EXPECT_TRUE(empty.by_port(0).empty());
+  expect_index_matches_scan(frame_of({0xffffffffu}, {0xffffffffu}, {0xffffu},
+                                     {0xffffu}));
+  expect_index_matches_scan(frame_of({0u}, {0u}, {0u}, {0u}));
+}
+
+TEST(FrameIndexTest, SharedSlash24AndKeyExtremes) {
+  // Four /32s in 10.0.0.0/24 interleaved with other prefixes, plus the
+  // extremes 0.0.0.0 and 255.255.255.255 in every family.
+  const std::vector<std::uint32_t> targets = {
+      0x0a000001u, 0u,          0x0a000002u, 0xffffffffu, 0x0a000001u,
+      0x0a0000ffu, 0x0a000100u, 0x0a000003u, 0u,          0xffffffffu};
+  const std::vector<meta::Asn> asns = {7, 0, 7, 0xffffffffu, 7,
+                                       8, 9, 7, 0, 0xffffffffu};
+  const std::vector<PackedCountry> countries = {1, 0, 1, 0xffff, 1,
+                                                2, 2, 1, 0, 0xffff};
+  const std::vector<std::uint16_t> ports = {53, 0, 80, 0xffff, 53,
+                                            53, 0, 123, 0, 0xffff};
+  const EventFrame frame = frame_of(targets, asns, countries, ports);
+  expect_index_matches_scan(frame);
+  const FrameIndex index(frame);
+  EXPECT_EQ(as_vector(index.by_slash24(0x0a000042u)),
+            (std::vector<std::uint32_t>{0, 2, 4, 5, 7}));
+  EXPECT_EQ(as_vector(index.by_target(0u)), (std::vector<std::uint32_t>{1, 8}));
+  EXPECT_TRUE(index.by_target(0x0a000004u).empty());
+}
+
+TEST(FrameIndexTest, RandomFramesMatchNaiveScan) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    // Small key pools force collisions; sizes cross the 256-row mark.
+    const std::size_t n = rng.next_below(600);
+    std::vector<std::uint32_t> targets;
+    std::vector<meta::Asn> asns;
+    std::vector<PackedCountry> countries;
+    std::vector<std::uint16_t> ports;
+    for (std::size_t i = 0; i < n; ++i) {
+      targets.push_back(static_cast<std::uint32_t>(
+          rng.next_below(4) << 30 | rng.next_below(3) << 8 |
+          rng.next_below(5)));
+      asns.push_back(static_cast<meta::Asn>(rng.next_below(9) * 70001));
+      countries.push_back(static_cast<PackedCountry>(rng.next_below(6) * 257));
+      ports.push_back(static_cast<std::uint16_t>(rng.next_below(4) * 16411));
+    }
+    expect_index_matches_scan(frame_of(targets, asns, countries, ports));
+  }
+}
+
 TEST(QuerySnapshotTest, TimeRangeBoundariesAreHalfOpen) {
   StudyWindow window;
   window.end = civil_from_days(days_from_civil(window.start) + 4);
@@ -348,7 +482,7 @@ TEST(QuerySnapshotTest, TimeRangeBoundariesAreHalfOpen) {
   EXPECT_EQ(snap->count(q), 1u);
   const auto rows = snap->match_rows(q);
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(snap->start_at(rows[0]), day1);
+  EXPECT_EQ(snap->event_rows(rows)[0].start, day1);
 }
 
 // ---------------------------------------------------------------------------

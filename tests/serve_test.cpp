@@ -15,7 +15,9 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -34,6 +36,9 @@
 #include "serve/server.h"
 #include "serve/subscribe_api.h"
 #include "sim/scenario.h"
+#include "storage/archive.h"
+#include "storage/metrics.h"
+#include "storage/tiered.h"
 #include "subscribe/dispatcher.h"
 
 namespace dosm::serve {
@@ -500,6 +505,57 @@ TEST(ApiTest, NonFiniteRowIsAServerErrorNotInvalidJson) {
   const ApiResponse response = execute_query(*snap, call, {});
   EXPECT_EQ(response.status, 500);
   EXPECT_EQ(response.body.find("nan"), std::string::npos) << response.body;
+}
+
+// An events listing resolves each cold segment once per run of listed
+// rows, not once per field of every row: at cache budget 0 every resolve
+// decodes the segment again, so a k = 30 listing over one archived day
+// costs one load for the match and one for the listing.
+TEST(ApiTest, EventsListingLoadsEachColdSegmentOnce) {
+  const meta::PrefixToAsMap pfx2as;
+  const meta::GeoDatabase geo;
+  StudyWindow window;
+  window.end = civil_from_days(days_from_civil(window.start) + 2);
+  const double day1 = static_cast<double>(window.day_start(1));
+  std::vector<core::AttackEvent> events;
+  for (int i = 0; i < 120; ++i) {  // 40 events on each of the three days
+    core::AttackEvent event;
+    event.target = net::Ipv4Addr(10, 0, static_cast<std::uint8_t>(i % 7),
+                                 static_cast<std::uint8_t>(i));
+    event.start = static_cast<double>(window.start_time()) + i * 2160.0;
+    event.end = event.start + 60.0;
+    event.intensity = 0.5 * (i % 9);
+    event.top_port = static_cast<std::uint16_t>(i % 3 == 0 ? 53 : 80);
+    events.push_back(event);
+  }
+  const auto resident = query::Snapshot::build(
+      window, events,
+      query::BuildContext{.pfx2as = pfx2as, .geo = geo, .segment_days = 1});
+  ASSERT_EQ(resident->num_segments(), 3u);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "dosm_serve_listing.dosarch")
+          .string();
+  storage::write_archive(path, *resident);
+  query::BuildContext ctx{pfx2as, geo};
+  ctx.hot_days = 0;
+  ctx.cold_cache_bytes = 0;
+  const auto cold = storage::open_tiered(path, ctx);
+  std::remove(path.c_str());
+
+  const auto call = parse_query_request(
+      request_for("/query?agg=events&k=30&t0=" + std::to_string(day1) +
+                  "&t1=" +
+                  std::to_string(day1 + static_cast<double>(kSecondsPerDay))),
+      window);
+  ASSERT_TRUE(call.error.empty()) << call.error;
+  const ApiResponse expected = execute_query(*resident, call, {});
+  ASSERT_EQ(expected.status, 200);
+  const storage::Metrics& metrics = storage::Metrics::get();
+  const std::uint64_t loads_before = metrics.segment_loads.value();
+  const ApiResponse actual = execute_query(*cold, call, {});
+  EXPECT_EQ(metrics.segment_loads.value() - loads_before, 2u);
+  EXPECT_EQ(actual.status, 200);
+  EXPECT_EQ(actual.body, expected.body);
 }
 
 TEST(ApiTest, CanonicalStringDistinguishesEveryParameter) {

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,42 @@ TEST(CodecTest, IntegerShapesRoundTrip) {
             std::vector<std::uint32_t>{});
   EXPECT_EQ(int_round_trip(std::vector<std::uint32_t>{0xffffffffu}),
             std::vector<std::uint32_t>{0xffffffffu});
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32: the IEEE check value, and the word-at-a-time loop against the
+// bytewise definition at every length and alignment around a word.
+// ---------------------------------------------------------------------------
+
+std::uint32_t bytewise_crc32(std::span<const std::uint8_t> bytes) {
+  std::uint32_t crc = 0xffffffffu;
+  for (const std::uint8_t byte : bytes) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k)
+      crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(CodecTest, Crc32KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(std::span<const std::uint8_t>(
+                reinterpret_cast<const std::uint8_t*>(check.data()),
+                check.size())),
+            0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(CodecTest, Crc32MatchesBytewiseAtEveryLengthAndOffset) {
+  Rng rng(7);
+  std::vector<std::uint8_t> buffer(64 + 8);
+  for (auto& byte : buffer) byte = static_cast<std::uint8_t>(rng.next_below(256));
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::span<const std::uint8_t> bytes(buffer.data() + offset, length);
+      ASSERT_EQ(crc32(bytes), bytewise_crc32(bytes))
+          << "offset " << offset << " length " << length;
+    }
 }
 
 std::vector<double> f64_round_trip(const std::vector<double>& values) {

@@ -663,16 +663,14 @@ void print_aggregation(const query::Snapshot& snapshot,
   } else {  // events
     const auto rows = snapshot.match_rows(q);
     TextTable table({"start", "target", "source", "intensity", "port"});
-    for (std::size_t i = 0; i < rows.size() && i < k; ++i) {
-      const auto row = rows[i];
-      table.add_row({fixed(snapshot.start_at(row), 0),
-                     snapshot.target_at(row).to_string(),
-                     snapshot.source_at(row) == core::EventSource::kTelescope
+    const std::span<const std::uint32_t> listed(rows.data(),
+                                                std::min(rows.size(), k));
+    for (const auto& row : snapshot.event_rows(listed))
+      table.add_row({fixed(row.start, 0), row.target.to_string(),
+                     row.source == core::EventSource::kTelescope
                          ? "telescope"
                          : "honeypot",
-                     fixed(snapshot.intensity_at(row), 2),
-                     std::to_string(snapshot.top_port_at(row))});
-    }
+                     fixed(row.intensity, 2), std::to_string(row.top_port)});
     std::cout << table;
     if (rows.size() > k)
       std::cout << "(" << rows.size() - k << " more rows; raise --k)\n";
